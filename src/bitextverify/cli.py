@@ -113,6 +113,21 @@ def _load_pairs(args):
     return load_corpus(args.pairs, "tsv")
 
 
+def _score_corpus(args, thresholds: ThresholdConfig):
+    """Load the corpus and the models named by `args`; return (pairs, scored pairs)."""
+    pairs = _load_pairs(args)
+    (model_a, _), (model_e, _) = _load_models(args)
+    return pairs, score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+
+
+def _labeled_scores(scored) -> list[PairScore]:
+    """Scores of a labeled corpus, which must have no unscorable pair."""
+    invalid = sum(s.score is None for s in scored)
+    if invalid:
+        raise CorpusFormatError(f"labeled corpus has {invalid} unscorable pairs")
+    return [s.score for s in scored]
+
+
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -145,11 +160,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    pairs = _load_pairs(args)
-    (model_a, _), (model_e, _) = _load_models(args)
-    thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
-    rows = [PairScore.TSV_HEADER] + [s.score.tsv_row() for s in scored if s.score]
+    _, scored = _score_corpus(args, ThresholdConfig(args.theta_slr, args.theta_cr))
+    scores = [s.score for s in scored if s.score]
+    rows = [PairScore.TSV_HEADER] + [score.tsv_row() for score in scores]
     if args.out:
         _write_lines(args.out, rows)
     else:
@@ -163,28 +176,16 @@ def cmd_score(args) -> int:
         for line in invalid:
             print("  " + line, file=sys.stderr)
     if args.scatter:
-        _write_lines(
-            args.scatter,
-            ["len_a\tlen_e\tbits_a\tbits_e\tverdict"]
-            + [
-                f"{s.score.len_a}\t{s.score.len_e}"
-                f"\t{s.score.bits_a:.4f}\t{s.score.bits_e:.4f}\t{s.score.verdict}"
-                for s in scored
-                if s.score
-            ],
-        )
+        _write_lines(args.scatter, ["len_a\tlen_e\tbits_a\tbits_e\tverdict"] + [
+            f"{s.len_a}\t{s.len_e}\t{s.bits_a:.4f}\t{s.bits_e:.4f}\t{s.verdict}" for s in scores
+        ])
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    pairs = _load_pairs(args)
-    (model_a, _), (model_e, _) = _load_models(args)
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
-    invalid = [s for s in scored if s.score is None]
-    if invalid:
-        raise CorpusFormatError(f"labeled corpus has {len(invalid)} unscorable pairs")
-    report = evaluate(pairs, [s.score for s in scored], thresholds, args.metric)
+    pairs, scored = _score_corpus(args, thresholds)
+    report = evaluate(pairs, _labeled_scores(scored), thresholds, args.metric)
     print(f"satisfactory accuracy: {fmt_pct(report.sat_accuracy)}")
     print(f"unsatisfactory accuracy: {fmt_pct(report.unsat_accuracy)}")
     print(f"average accuracy: {fmt_pct(report.average)}")
@@ -192,14 +193,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pairs = _load_pairs(args)
-    (model_a, _), (model_e, _) = _load_models(args)
     grid = parse_grid(args.grid)
-    scored = score_pairs(pairs, model_a, model_e, ThresholdConfig(), args.jobs, args.transform)
-    invalid = [s for s in scored if s.score is None]
-    if invalid:
-        raise CorpusFormatError(f"labeled corpus has {len(invalid)} unscorable pairs")
-    matrix = threshold_matrix(pairs, [s.score for s in scored], grid, grid)
+    pairs, scored = _score_corpus(args, ThresholdConfig())
+    matrix = threshold_matrix(pairs, _labeled_scores(scored), grid, grid)
     # Layout: SLR thresholds across the top, CR thresholds down the side.
     print("CR\\SLR\t" + "\t".join(f"{v:g}" for v in grid))
     for theta_cr, row in zip(grid, matrix):
@@ -218,12 +214,9 @@ def cmd_filter(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "accepted.tsv", [_pair_row(s.pair) for s in accepted])
     _write_lines(out_dir / "rejected.tsv", [_pair_row(s.pair) for s in rejected])
-    invalid_ids = {pair_id for pair_id, _ in report.invalid}
     reasons = dict(report.invalid)
-    _write_lines(
-        out_dir / "invalid.tsv",
-        [_pair_row(p) + "\t" + reasons[p.id] for p in pairs if p.id in invalid_ids],
-    )
+    invalid_rows = [_pair_row(p) + "\t" + reasons[p.id] for p in pairs if p.id in reasons]
+    _write_lines(out_dir / "invalid.tsv", invalid_rows)
     (out_dir / "report.json").write_text(
         json.dumps(_report_dict(report, thresholds, model_a, id_a, model_e, id_e, args.transform),
                    indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -258,9 +251,7 @@ def _report_dict(report: FilterReport, thresholds, model_a, id_a, model_e, id_e,
 
 
 def cmd_stats(args) -> int:
-    pairs = _load_pairs(args)
-    (model_a, _), (model_e, _) = _load_models(args)
-    scored = score_pairs(pairs, model_a, model_e, ThresholdConfig(), args.jobs, args.transform)
+    _, scored = _score_corpus(args, ThresholdConfig())
     valid = [s for s in scored if s.score]
     if not valid:
         raise CorpusFormatError("no scorable pairs")
@@ -268,14 +259,9 @@ def cmd_stats(args) -> int:
     for s in valid:
         by_category.setdefault(s.pair.category or UNCATEGORIZED, []).append(s)
     print("category\tpairs\tlen_a_greater_pct\tbits_a_greater_pct")
-    for category in sorted(by_category):
-        items = by_category[category]
-        len_pct, bits_pct = greater_stats(
-            [s.pair for s in items], [s.score for s in items]
-        )
+    for category, items in [*sorted(by_category.items()), ("overall", valid)]:
+        len_pct, bits_pct = greater_stats([s.pair for s in items], [s.score for s in items])
         print(f"{category}\t{len(items)}\t{fmt_pct(len_pct)}\t{fmt_pct(bits_pct)}")
-    len_pct, bits_pct = greater_stats([s.pair for s in valid], [s.score for s in valid])
-    print(f"overall\t{len(valid)}\t{fmt_pct(len_pct)}\t{fmt_pct(bits_pct)}")
     return EXIT_OK
 
 

@@ -5,7 +5,12 @@ of -log2 p along the estimation chain of every symbol, adapting a private
 overlay between symbols when ``adapt`` is on. ``encode``/``decode`` prove that
 number is honest: the emitted payload is decodable back to the exact input and
 its length tracks the ideal length to within a small constant (bounded by 64
-bits across the fuzz corpus, typically under 24).
+bits across the fuzz corpus, typically under 24). ``ideal_bits`` and
+``encode`` are one pass of ``ppm.code_text``, which converts the text to its
+key sequence and range-checks every symbol first, so an out-of-alphabet symbol
+raises ValueError under either adapt flag. ``decode`` learns each symbol only
+at its coding order, so it walks the chain first and then counts the symbol
+in the stats it fetched.
 
 The coder is a 64-bit range coder with explicit carry propagation into the
 already-emitted bytes. PPMD frequencies are exact small integers (2c-1 per
@@ -17,12 +22,11 @@ the ideal length is integer truncation of the range split plus the flush.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ppm import DETERMINISTIC_ESCAPE, ESCAPE, ModelOverlay, PpmModel, _walk
+from .ppm import ModelOverlay, PpmModel, code_text
 
 _MAGIC = b"PPMC"
 _VERSION = 1
@@ -117,40 +121,24 @@ class _RangeEncoder:
 class _RangeDecoder:
     """Mirror of the encoder tracking code-minus-low, which is carry-free."""
 
-    __slots__ = ("payload", "pos", "range", "rem")
+    __slots__ = ("rest", "range", "rem")
 
     def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 8
+        self.rest = iter(payload[8:])  # bytes past the end of the payload read as 0
         self.range = _FULL
         self.rem = int.from_bytes(payload[:8], "big") << max(0, 8 * (8 - len(payload)))
-
-    def _next_byte(self) -> int:
-        pos = self.pos
-        self.pos = pos + 1
-        return self.payload[pos] if pos < len(self.payload) else 0
 
     def split(self, total: int) -> tuple[int, int]:
         """Return (target bin, range unit) for a distribution summing to `total`."""
         r = self.range // total
-        t = self.rem // r
-        if t >= total:
-            t = total - 1
-        return t, r
+        return min(self.rem // r, total - 1), r
 
     def consume(self, start: int, freq: int, r: int) -> None:
         self.rem -= start * r
         self.range = freq * r
         while self.range < _RENORM:
-            self.rem = (self.rem << 8) | self._next_byte()
+            self.rem = (self.rem << 8) | next(self.rest, 0)
             self.range <<= 8
-
-
-def _views(model: PpmModel, adapt: bool):
-    if adapt:
-        overlay = ModelOverlay(model)
-        return overlay._get, overlay.update
-    return model._table.get, None
 
 
 def encode(model: PpmModel, text: Sequence[int], adapt: bool = True) -> EncodedBlob:
@@ -160,33 +148,10 @@ def encode(model: PpmModel, text: Sequence[int], adapt: bool = True) -> EncodedB
     overlay is updated after each symbol; the snapshot itself never changes.
     """
     config = _coding_hash(model, adapt)
-    n = len(text)
-    if n == 0:
-        return EncodedBlob(config, 0, b"")
-    lookup, update = _views(model, adapt)
-    d = model.max_order
-    alphabet = model.alphabet_size
     enc = _RangeEncoder()
-    for i in range(n):
-        sym = text[i]
-        hist = text[i - d if i > d else 0:i]
-        for order, kind, num, den, stats in _walk(lookup, hist, sym, d, alphabet):
-            if kind is DETERMINISTIC_ESCAPE:
-                continue
-            if order == -1:
-                enc.encode(sym, 1, alphabet)
-            elif kind is ESCAPE:
-                enc.encode(den - num, num, den)  # escape occupies the top t slots
-            else:
-                start = 0
-                for s, c in stats.counts.items():
-                    if s == sym:
-                        break
-                    start += 2 * c - 1
-                enc.encode(start, num, den)
-        if update is not None:
-            update(hist, sym)
-    return EncodedBlob(config, n, enc.finish())
+    code_text(model, text, adapt, enc)
+    n = len(text)
+    return EncodedBlob(config, n, enc.finish() if n else b"")
 
 
 def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[int]:
@@ -195,44 +160,30 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
 
     Returns bytes for byte-sized alphabets, a tuple of ints otherwise.
     """
-    expected = _coding_hash(model, adapt)
-    if blob.config_hash != expected:
+    if blob.config_hash != _coding_hash(model, adapt):
         raise CodecError(
             "coding-config hash mismatch: blob was produced with a different "
             "model state or adapt flag"
         )
     if blob.length < 0:
         raise CodecError("negative length")
-    as_bytes = model.alphabet_size <= 256
-    out: bytearray | list[int] = bytearray() if as_bytes else []
-    if blob.length == 0:
-        return bytes(out) if as_bytes else tuple(out)
-    lookup, update = _views(model, adapt)
-    d = model.max_order
-    alphabet = model.alphabet_size
+    key = bytes if model.alphabet_size <= 256 else tuple
+    out: bytearray | list[int] = bytearray() if key is bytes else []
+    fetch = ModelOverlay(model).fetch if adapt else model._table.get
+    d, alphabet = model.max_order, model.alphabet_size
     dec = _RangeDecoder(blob.payload)
     for i in range(blob.length):
-        hist = out[i - d if i > d else 0:i]
-        n = len(hist)
+        hist = key(out[i - d if i > d else 0:i])
+        chain = [fetch(hist[j:]) for j in range(len(hist) + 1)]
         sym = -1
-        k = d if n > d else n
-        while sym < 0:
-            if k < 0:
-                t, r = dec.split(alphabet)
-                sym = t
-                dec.consume(sym, 1, r)
-                break
-            ctx = tuple(hist[n - k:n])
-            stats = lookup(ctx)
+        for stats in chain:
             if stats is None or stats.total == 0:
-                k -= 1
                 continue
             total = 2 * stats.total
             t, r = dec.split(total)
             esc_start = total - len(stats.counts)
             if t >= esc_start:
                 dec.consume(esc_start, len(stats.counts), r)
-                k -= 1
                 continue
             start = 0
             for s, c in stats.counts.items():
@@ -242,10 +193,15 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
                     dec.consume(start, width, r)
                     break
                 start += width
-        if update is not None:
-            update(hist, sym)
+            break
+        if sym < 0:
+            sym, r = dec.split(alphabet)
+            dec.consume(sym, 1, r)
+        if adapt:
+            for stats in chain:
+                stats.observe(sym)
         out.append(sym)
-    return bytes(out) if as_bytes else tuple(out)
+    return key(out)
 
 
 def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True) -> float:
@@ -254,17 +210,4 @@ def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True) -> floa
     Sum over symbols of -log2 p along the estimation chain; with ``adapt`` on,
     a private overlay is updated between symbols. Divide by 8 for bytes.
     """
-    lookup, update = _views(model, adapt)
-    d = model.max_order
-    alphabet = model.alphabet_size
-    log2 = math.log2
-    bits = 0.0
-    for i in range(len(text)):
-        sym = text[i]
-        hist = text[i - d if i > d else 0:i]
-        for _, _, num, den, _ in _walk(lookup, hist, sym, d, alphabet):
-            if num != den:
-                bits += log2(den) - log2(num)
-        if update is not None:
-            update(hist, sym)
-    return bits
+    return code_text(model, text, adapt)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,28 +113,38 @@ def load_aligned(path_a, path_e) -> list[SentencePair]:
 
 # -- scoring ------------------------------------------------------------------
 
-_WORKER: dict = {}
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports it."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def pool_size(jobs: int, n_pairs: int, cores: int) -> int:
+    """Worker processes for `jobs` requested over `n_pairs` pairs: at most one per
+    usable core and one per pair, and 1 (no pool) for an empty corpus."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, cores, n_pairs))
+
+
+def _score_one(pair, model_a, model_e, thresholds, arabic_transform) -> ScoredPair:
+    try:
+        return ScoredPair(pair, score_pair(pair, model_a, model_e, thresholds, arabic_transform))
+    except InvalidPairError as exc:
+        return ScoredPair(pair, None, exc.reason)
+
+
+_WORKER_ARGS: tuple = ()
 
 
 def _init_worker(model_a_bytes, model_e_bytes, thresholds, arabic_transform):
-    _WORKER["model_a"] = PpmModel.loads(model_a_bytes).snapshot()
-    _WORKER["model_e"] = PpmModel.loads(model_e_bytes).snapshot()
-    _WORKER["thresholds"] = thresholds
-    _WORKER["transform"] = arabic_transform
+    global _WORKER_ARGS
+    models = [PpmModel.loads(data).snapshot() for data in (model_a_bytes, model_e_bytes)]
+    _WORKER_ARGS = (*models, thresholds, arabic_transform)
 
 
 def _score_in_worker(pair: SentencePair) -> ScoredPair:
-    try:
-        score = score_pair(
-            pair,
-            _WORKER["model_a"],
-            _WORKER["model_e"],
-            _WORKER["thresholds"],
-            _WORKER["transform"],
-        )
-        return ScoredPair(pair, score)
-    except InvalidPairError as exc:
-        return ScoredPair(pair, None, exc.reason)
+    return _score_one(pair, *_WORKER_ARGS)
 
 
 def score_pairs(
@@ -146,29 +157,22 @@ def score_pairs(
 ) -> list[ScoredPair]:
     """Score every pair, preserving input order; invalid pairs carry their reason.
 
-    With jobs > 1 the pairs fan out over worker processes; results are
-    identical to the sequential path.
+    With jobs > 1 the pairs fan out over worker processes, no more than
+    pool_size() allows; results are identical to the sequential path.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
-    if jobs > 1 and len(pairs) > 1:
+    workers = pool_size(jobs, len(pairs), usable_cores())
+    if workers > 1:
         with multiprocessing.Pool(
-            processes=jobs,
+            processes=workers,
             initializer=_init_worker,
             initargs=(model_a.dumps(), model_e.dumps(), thresholds, arabic_transform),
         ) as pool:
             return pool.map(_score_in_worker, pairs, chunksize=64)
-    results = []
     snap_a = model_a.snapshot()
     snap_e = model_e.snapshot()
-    for pair in pairs:
-        try:
-            results.append(
-                ScoredPair(pair, score_pair(pair, snap_a, snap_e, thresholds, arabic_transform))
-            )
-        except InvalidPairError as exc:
-            results.append(ScoredPair(pair, None, exc.reason))
-    return results
+    return [_score_one(pair, snap_a, snap_e, thresholds, arabic_transform) for pair in pairs]
 
 
 # -- evaluation ---------------------------------------------------------------

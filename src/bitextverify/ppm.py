@@ -15,6 +15,14 @@ enters only when a trace is summed into bits.
 No exclusion sets are applied, counts are never rescaled, and a context that
 has never been seen costs nothing to skip (a deterministic escape with
 probability 1), so every estimate is reproducible from the printed statistics.
+
+Each text is converted once to its key sequence, ``bytes`` when the alphabet
+fits in a byte and a tuple otherwise; that is also where its symbols are
+range-checked, for every caller and either adapt flag. Every context is then a
+plain slice ``seq[j:i]``, and the table is keyed by those slices, while
+``contexts()`` and ``stats()`` still speak in int tuples. ``code_text`` is the
+one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe`` is
+the counting step shared by training and both ``update`` methods.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # TODO: optional coding-exclusion flag for estimate/ideal_bits (escape mass
 # currently never excludes symbols already ruled out at higher orders).
@@ -33,6 +41,8 @@ DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
 
 _MAGIC = b"PPMV1"
+_ENTRY = struct.Struct(">IQ")  # one (symbol, count) entry of a dumped context
+_pack_entry, _unpack_entry = _ENTRY.pack, _ENTRY.unpack_from
 
 SYMBOL = "symbol"
 ESCAPE = "escape"
@@ -77,7 +87,7 @@ class ContextStats:
         self.total += 1
 
     def copy(self) -> "ContextStats":
-        return ContextStats(dict(self.counts), self.total)
+        return ContextStats(self.counts.copy(), self.total)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextStats):
@@ -111,34 +121,89 @@ class ProbabilityTrace:
         return bits
 
 
-def _walk(
-    lookup: Callable[[Context], ContextStats | None],
-    history: Sequence[int],
-    symbol: int,
-    max_order: int,
-    alphabet_size: int,
-) -> Iterator[tuple[int, str, int, int, ContextStats | None]]:
-    """Yield the PPMD escape chain for `symbol` after `history`.
+def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None) -> float:
+    """Code `text` along the PPMD escape chain; returns bits, or feeds `encoder`.
 
-    Events are (order, kind, numerator, denominator, stats). The chain starts
-    at order min(max_order, len(history)), drops one order per escape, and
-    terminates with a symbol event, at order -1 (uniform 1/|A|) at the latest.
+    Per symbol the contexts are walked from the longest to the empty one.
+    While the symbol escapes, each context with statistics adds
+    log2(den) - log2(num) bits, or passes (start, freq, total) to `encoder`.
+    Unseen contexts are free; the uniform order -1 ends the chain. With
+    `adapt` on, every context on the chain also counts the symbol in a private
+    overlay, in the same pass. A context is coded from the base table on its
+    first touch, which the overlay records as the bare symbol, and is copied
+    in only on its second, so most contexts of a sentence are never copied.
     """
-    n = len(history)
-    k = max_order if n > max_order else n
-    while k >= 0:
-        ctx = tuple(history[n - k:n])
-        stats = lookup(ctx)
-        if stats is None or stats.total == 0:
-            yield (k, DETERMINISTIC_ESCAPE, 1, 1, None)
-        else:
-            c = stats.counts.get(symbol)
-            if c is not None:
-                yield (k, SYMBOL, 2 * c - 1, 2 * stats.total, stats)
-                return
-            yield (k, ESCAPE, len(stats.counts), 2 * stats.total, stats)
-        k -= 1
-    yield (-1, SYMBOL, 1, alphabet_size, None)
+    seq = model._keys(text)
+    d, alphabet, base = model.max_order, model.alphabet_size, model._table
+    local: dict = {}  # context -> [total, counts], or the one symbol it has seen
+    log2 = math.log2
+    uniform = log2(alphabet) - log2(1)
+    bits = 0.0
+    for i, sym in enumerate(seq):
+        escaping = True
+        for j in range(i - d if i > d else 0, i + 1):
+            ctx = seq[j:i]
+            entry = local.get(ctx)
+            if entry is None:
+                if adapt:
+                    local[ctx] = sym
+                stats = base.get(ctx) if escaping else None
+                if stats is None or not stats.total:
+                    continue
+                total, counts = stats.total, stats.counts
+                c, t = counts.get(sym), len(counts)
+            else:
+                if entry.__class__ is not list:  # second touch: copy, then count the first
+                    stats = base.get(ctx)
+                    counts = {} if stats is None else stats.counts.copy()
+                    counts[entry] = counts.get(entry, 0) + 1
+                    entry = local[ctx] = [1 if stats is None else stats.total + 1, counts]
+                total, counts = entry
+                c, t = counts.get(sym), len(counts)
+                counts[sym] = 1 if c is None else c + 1
+                entry[0] = total + 1
+                if not escaping:
+                    continue
+            if c is None:
+                num, start = t, 2 * total - t
+            else:
+                num, start, escaping = 2 * c - 1, 0, False
+                if encoder is not None:
+                    for s, n in counts.items():
+                        if s == sym:
+                            break
+                        start += 2 * n - 1
+            if encoder is None:
+                bits += log2(2 * total) - log2(num)
+            else:
+                encoder.encode(start, num, 2 * total)
+            if not (escaping or adapt):
+                break
+        if escaping:
+            if encoder is None:
+                bits += uniform
+            else:
+                encoder.encode(sym, 1, alphabet)
+    return bits
+
+
+def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
+    """Count each symbol seq[i], i >= start, after each of its contexts seq[j:i].
+
+    Contexts go shortest first, so a growing table keeps first-observation
+    order. A context missing from `table` starts as a copy from `base`, or empty.
+    """
+    for i in range(start, len(seq)):
+        sym = seq[i]
+        for j in range(i, (i - max_order if i > max_order else 0) - 1, -1):
+            ctx = seq[j:i]
+            stats = table.get(ctx)
+            if stats is None:
+                stats = base.get(ctx)
+                stats = table[ctx] = ContextStats() if stats is None else stats.copy()
+            counts = stats.counts
+            counts[sym] = counts.get(sym, 0) + 1
+            stats.total += 1
 
 
 class PpmModel:
@@ -151,20 +216,33 @@ class PpmModel:
 
     __slots__ = ("max_order", "alphabet_size", "_table", "_frozen", "_hash")
 
-    def __init__(
-        self,
-        max_order: int = DEFAULT_MAX_ORDER,
-        alphabet_size: int = DEFAULT_ALPHABET_SIZE,
-    ):
+    def __init__(self, max_order: int = DEFAULT_MAX_ORDER,
+                 alphabet_size: int = DEFAULT_ALPHABET_SIZE):
         if not isinstance(max_order, int) or not 0 <= max_order <= 255:
             raise ValueError(f"max_order must be an integer in 0..255, got {max_order!r}")
         if not isinstance(alphabet_size, int) or alphabet_size < 2:
             raise ValueError(f"alphabet_size must be an integer >= 2, got {alphabet_size!r}")
         self.max_order = max_order
         self.alphabet_size = alphabet_size
-        self._table: dict[Context, ContextStats] = {(): ContextStats()}
+        self._table: dict = {self._keys(()): ContextStats()}
         self._frozen = False
         self._hash: bytes | None = None
+
+    def _keys(self, text: Sequence[int]) -> bytes | Context:
+        """`text` as a key sequence; raises ValueError on a symbol outside the alphabet."""
+        alphabet = self.alphabet_size
+        try:
+            seq = bytes(text) if alphabet <= 256 else tuple(text)
+            if alphabet == 256 or not seq or (0 <= min(seq) and max(seq) < alphabet):
+                return seq
+        except ValueError:  # bytes() met a value outside 0..255
+            pass
+        bad = next(s for s in text if not 0 <= s < alphabet)
+        raise ValueError(f"symbol {bad!r} outside alphabet of size {alphabet}")
+
+    def _window(self, history: Sequence[int], symbol: int) -> bytes | Context:
+        """Key sequence of the last max_order symbols of `history`, then `symbol`."""
+        return self._keys([*history[max(0, len(history) - self.max_order):], symbol])
 
     @property
     def frozen(self) -> bool:
@@ -172,11 +250,14 @@ class PpmModel:
 
     def stats(self, context: Sequence[int]) -> ContextStats | None:
         """Statistics for one context, or None if it has never been seen."""
-        return self._table.get(tuple(context))
+        try:
+            return self._table.get(self._keys(context))
+        except ValueError:  # no context holds a symbol outside the alphabet
+            return None
 
     def contexts(self) -> Iterator[Context]:
         """All observed contexts, in first-observation order."""
-        return iter(self._table)
+        return (tuple(ctx) for ctx in self._table)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -184,17 +265,8 @@ class PpmModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PpmModel):
             return NotImplemented
-        return (
-            self.max_order == other.max_order
-            and self.alphabet_size == other.alphabet_size
-            and self._table == other._table
-        )
-
-    def _check_symbol(self, symbol: int) -> None:
-        if not 0 <= symbol < self.alphabet_size:
-            raise ValueError(
-                f"symbol {symbol!r} outside alphabet of size {self.alphabet_size}"
-            )
+        mine, theirs = (self.max_order, self.alphabet_size), (other.max_order, other.alphabet_size)
+        return mine == theirs and self._table == other._table
 
     def update(self, history: Sequence[int], symbol: int) -> None:
         """Count one observation of `symbol` after `history`.
@@ -204,17 +276,8 @@ class PpmModel:
         """
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; use overlay() for adaptive scoring")
-        self._check_symbol(symbol)
-        table = self._table
-        n = len(history)
-        start = n - self.max_order if n > self.max_order else 0
-        for j in range(n + 1, start, -1):
-            ctx = tuple(history[j - 1:n]) if j <= n else ()
-            stats = table.get(ctx)
-            if stats is None:
-                stats = ContextStats()
-                table[ctx] = stats
-            stats.observe(symbol)
+        seq = self._window(history, symbol)
+        _observe(self._table, {}, seq, len(seq) - 1, self.max_order)
 
     def train(self, text: Sequence[int]) -> None:
         """Fold update() over `text` left to right, starting from an empty history.
@@ -224,20 +287,24 @@ class PpmModel:
         """
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; train a mutable model")
-        d = self.max_order
-        for i in range(len(text)):
-            self.update(text[i - d if i > d else 0:i], text[i])
+        _observe(self._table, {}, self._keys(text), 0, self.max_order)
 
     def estimate(self, history: Sequence[int], symbol: int) -> ProbabilityTrace:
         """Escape-chain estimate of P(symbol | history); does not mutate the model."""
-        self._check_symbol(symbol)
-        steps = tuple(
-            TraceStep(order, kind, Fraction(num, den))
-            for order, kind, num, den, _ in _walk(
-                self._table.get, history, symbol, self.max_order, self.alphabet_size
-            )
-        )
-        return ProbabilityTrace(steps)
+        seq = self._window(history, symbol)
+        i = len(seq) - 1
+        steps = []
+        for j in range(i + 1):
+            stats, order = self._table.get(seq[j:i]), i - j
+            if stats is None or stats.total == 0:
+                steps.append(TraceStep(order, DETERMINISTIC_ESCAPE, Fraction(1)))
+            elif symbol in stats.counts:
+                p = symbol_probability(stats.counts[symbol], stats.total)
+                return ProbabilityTrace((*steps, TraceStep(order, SYMBOL, p)))
+            else:
+                p = escape_probability(stats.distinct, stats.total)
+                steps.append(TraceStep(order, ESCAPE, p))
+        return ProbabilityTrace((*steps, TraceStep(-1, SYMBOL, Fraction(1, self.alphabet_size))))
 
     def snapshot(self) -> "PpmModel":
         """Frozen deep copy, safe for shared concurrent scoring. Frozen models return themselves."""
@@ -259,12 +326,9 @@ class PpmModel:
         out = bytearray(_MAGIC)
         out += struct.pack(">BIQ", self.max_order, self.alphabet_size, len(self._table))
         for ctx, stats in self._table.items():
-            out += struct.pack(">B", len(ctx))
-            for s in ctx:
-                out += struct.pack(">I", s)
-            out += struct.pack(">I", len(stats.counts))
+            out += struct.pack(f">B{len(ctx)}II", len(ctx), *ctx, len(stats.counts))
             for s, c in stats.counts.items():
-                out += struct.pack(">IQ", s, c)
+                out += _pack_entry(s, c)
         return bytes(out)
 
     @classmethod
@@ -276,23 +340,24 @@ class PpmModel:
             pos = 5 + struct.calcsize(">BIQ")
             model = cls(max_order, alphabet_size)
             table = model._table
+            key = bytes if alphabet_size <= 256 else tuple
             for _ in range(n_contexts):
                 (ctx_len,) = struct.unpack_from(">B", data, pos)
                 pos += 1
-                ctx = struct.unpack_from(f">{ctx_len}I", data, pos) if ctx_len else ()
+                ctx = key(struct.unpack_from(f">{ctx_len}I", data, pos))
                 pos += 4 * ctx_len
                 (n_entries,) = struct.unpack_from(">I", data, pos)
                 pos += 4
                 counts: dict[int, int] = {}
-                total = 0
                 for _ in range(n_entries):
-                    s, c = struct.unpack_from(">IQ", data, pos)
+                    s, c = _unpack_entry(data, pos)
                     pos += 12
                     counts[s] = c
-                    total += c
-                table[ctx] = ContextStats(counts, total)
+                table[ctx] = ContextStats(counts, sum(counts.values()))
         except struct.error as exc:
             raise ValueError("truncated PPMV1 model dump") from exc
+        except ValueError as exc:  # a context symbol above 255 in a byte-alphabet model
+            raise ValueError(f"corrupt PPMV1 model dump: {exc}") from exc
         if pos != len(data):
             raise ValueError("trailing garbage after PPMV1 model dump")
         return model
@@ -325,29 +390,23 @@ class ModelOverlay:
         self.base = base
         self.max_order = base.max_order
         self.alphabet_size = base.alphabet_size
-        self._local: dict[Context, ContextStats] = {}
+        self._local: dict = {}
 
     def stats(self, context: Sequence[int]) -> ContextStats | None:
-        return self._get(tuple(context))
+        try:
+            ctx = self.base._keys(context)
+        except ValueError:
+            return None
+        return self._local.get(ctx) or self.base._table.get(ctx)
 
-    def _get(self, ctx: Context) -> ContextStats | None:
+    def fetch(self, ctx: bytes | Context) -> ContextStats:
+        """Stats of the key-sequence context `ctx`, copied into the overlay on first touch."""
         stats = self._local.get(ctx)
-        if stats is not None:
-            return stats
-        return self.base._table.get(ctx)
+        if stats is None:
+            stats = self.base._table.get(ctx)
+            stats = self._local[ctx] = ContextStats() if stats is None else stats.copy()
+        return stats
 
     def update(self, history: Sequence[int], symbol: int) -> None:
-        if not 0 <= symbol < self.alphabet_size:
-            raise ValueError(f"symbol {symbol!r} outside alphabet of size {self.alphabet_size}")
-        local = self._local
-        base_table = self.base._table
-        n = len(history)
-        start = n - self.max_order if n > self.max_order else 0
-        for j in range(n + 1, start, -1):
-            ctx = tuple(history[j - 1:n]) if j <= n else ()
-            stats = local.get(ctx)
-            if stats is None:
-                base_stats = base_table.get(ctx)
-                stats = base_stats.copy() if base_stats is not None else ContextStats()
-                local[ctx] = stats
-            stats.observe(symbol)
+        seq = self.base._window(history, symbol)
+        _observe(self._local, self.base._table, seq, len(seq) - 1, self.max_order)

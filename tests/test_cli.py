@@ -224,6 +224,14 @@ class TestExitCodes:
     def test_unknown_flag_value_is_usage_error(self, corpus_tsv):
         assert main(["score", "--pairs", str(corpus_tsv), "--transform", "rot13"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, corpus_tsv, jobs):
+        out_dir = tmp_path / "out"
+        args = ["--pairs", str(corpus_tsv), "--jobs", jobs]
+        assert main(["score", *args]) == EXIT_CONFIG
+        assert main(["filter", *args, "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert not out_dir.exists()
+
     def test_missing_required_input_is_config_error(self):
         assert main(["score"]) == EXIT_CONFIG
 

@@ -100,6 +100,42 @@ class TestRoundTrip:
         assert 0 <= overhead <= 64
 
 
+class TestAlphabetRange:
+    """Every symbol is range-checked once per text, whatever the adapt flag."""
+
+    @staticmethod
+    def small_snapshot():
+        model = PpmModel(2, 4)
+        model.train([0, 1, 2, 0, 1, 2])
+        return model.snapshot()
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("text", [[7, 1], [1, 5], [3, 4], [0, -1], [2, 2, 256]])
+    def test_ideal_bits_rejects_out_of_range(self, text, adapt):
+        with pytest.raises(ValueError, match="outside alphabet of size 4"):
+            ideal_bits(self.small_snapshot(), text, adapt=adapt)
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("text", [[7, 1], [1, 5], [3, 4], [0, -1], [2, 2, 256]])
+    def test_encode_rejects_out_of_range(self, text, adapt):
+        with pytest.raises(ValueError, match="outside alphabet of size 4"):
+            encode(self.small_snapshot(), text, adapt=adapt)
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_wide_alphabet_rejects_out_of_range(self, adapt):
+        snap = PpmModel(1, 1000).snapshot()
+        for text in ([999, 1000], [-1]):
+            with pytest.raises(ValueError, match="outside alphabet of size 1000"):
+                ideal_bits(snap, text, adapt=adapt)
+            with pytest.raises(ValueError, match="outside alphabet of size 1000"):
+                encode(snap, text, adapt=adapt)
+
+    def test_in_range_text_still_round_trips(self):
+        snap = self.small_snapshot()
+        for adapt in (True, False):
+            assert decode(snap, encode(snap, [3, 0, 3], adapt), adapt) == bytes([3, 0, 3])
+
+
 class TestBlobValidation:
     def test_file_format_round_trip(self):
         snap = primed_snapshot()

@@ -10,8 +10,10 @@ from bitextverify.corpus import (
     load_aligned,
     load_corpus,
     load_tsv,
+    pool_size,
     score_pairs,
     threshold_matrix,
+    usable_cores,
 )
 from bitextverify.metrics import (
     SATISFACTORY,
@@ -336,3 +338,35 @@ class TestScorePairsParallel:
         sequential = score_pairs(pairs, model_a, model_e, jobs=1)
         parallel = score_pairs(pairs, model_a, model_e, jobs=2)
         assert sequential == parallel
+
+
+class TestPoolSize:
+    """The pool size is computed by a pure helper; no pool is started here."""
+
+    @pytest.mark.parametrize(
+        "jobs,n_pairs,cores,expected",
+        [
+            (1, 100, 8, 1),
+            (4, 100, 8, 4),
+            (4, 100, 2, 2),
+            (10**9, 100, 8, 8),
+            (10**9, 3, 64, 3),
+            (8, 1, 8, 1),
+            (8, 0, 8, 1),
+        ],
+    )
+    def test_capped_by_cores_and_pairs(self, jobs, n_pairs, cores, expected):
+        assert pool_size(jobs, n_pairs, cores) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pool_size(jobs, 10, 4)
+
+    def test_score_pairs_rejects_zero_jobs(self, filter_models):
+        model_a, model_e = filter_models
+        with pytest.raises(ValueError):
+            score_pairs([SentencePair("1", "نص", "text")], model_a, model_e, jobs=0)
+
+    def test_usable_cores_positive(self):
+        assert usable_cores() >= 1
