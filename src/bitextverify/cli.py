@@ -257,11 +257,11 @@ def cmd_stats(args) -> int:
         raise CorpusFormatError("no scorable pairs")
     by_category: dict[str, list] = {}
     for s in valid:
-        by_category.setdefault(s.pair.category or UNCATEGORIZED, []).append(s)
+        by_category.setdefault(s.pair.category or UNCATEGORIZED, []).append(s.score)
     print("category\tpairs\tlen_a_greater_pct\tbits_a_greater_pct")
-    for category, items in [*sorted(by_category.items()), ("overall", valid)]:
-        len_pct, bits_pct = greater_stats([s.pair for s in items], [s.score for s in items])
-        print(f"{category}\t{len(items)}\t{fmt_pct(len_pct)}\t{fmt_pct(bits_pct)}")
+    for category, scores in [*sorted(by_category.items()), ("overall", [s.score for s in valid])]:
+        len_pct, bits_pct = greater_stats(scores)
+        print(f"{category}\t{len(scores)}\t{fmt_pct(len_pct)}\t{fmt_pct(bits_pct)}")
     return EXIT_OK
 
 

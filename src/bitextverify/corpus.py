@@ -7,7 +7,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .metrics import (
     METRIC_BOTH,
@@ -61,31 +61,37 @@ def load_corpus(path, fmt: str = "tsv", english_path=None) -> list[SentencePair]
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
+def _read_lines(path) -> Iterator[str]:
+    r"""Lines of a UTF-8 file split on "\n" only, each without one trailing "\r\n"
+    or "\n". A lone "\r", U+2028, "\x85" or other separator stays in its line."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+
+
 def load_tsv(path) -> list[SentencePair]:
     """TSV columns: id, arabic, english, then optional label and category."""
     pairs: list[SentencePair] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if not 3 <= len(cols) <= 5:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}"
-                )
-            pair_id = cols[0]
-            if pair_id in seen_ids:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate pair id {pair_id!r}")
-            seen_ids.add(pair_id)
-            label = cols[3] if len(cols) > 3 and cols[3] else None
-            if label is not None and label not in LABELS:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: invalid label {label!r} (expected one of {LABELS})"
-                )
-            category = cols[4] if len(cols) > 4 and cols[4] else None
-            pairs.append(SentencePair(pair_id, cols[1], cols[2], label, category))
+    for lineno, line in enumerate(_read_lines(path), 1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if not 3 <= len(cols) <= 5:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}"
+            )
+        pair_id = cols[0]
+        if pair_id in seen_ids:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate pair id {pair_id!r}")
+        seen_ids.add(pair_id)
+        label = cols[3] if len(cols) > 3 and cols[3] else None
+        if label is not None and label not in LABELS:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: invalid label {label!r} (expected one of {LABELS})"
+            )
+        category = cols[4] if len(cols) > 4 and cols[4] else None
+        pairs.append(SentencePair(pair_id, cols[1], cols[2], label, category))
     if not pairs:
         warnings.warn(f"{path}: empty corpus")
     return pairs
@@ -93,10 +99,8 @@ def load_tsv(path) -> list[SentencePair]:
 
 def load_aligned(path_a, path_e) -> list[SentencePair]:
     """Zip two line-aligned files; ids are 1-based line numbers."""
-    with open(path_a, "r", encoding="utf-8") as fh:
-        lines_a = fh.read().splitlines()
-    with open(path_e, "r", encoding="utf-8") as fh:
-        lines_e = fh.read().splitlines()
+    lines_a = list(_read_lines(path_a))
+    lines_e = list(_read_lines(path_e))
     if len(lines_a) != len(lines_e):
         raise CorpusFormatError(
             f"aligned files differ in length: {path_a} has {len(lines_a)} lines, "
@@ -137,14 +141,21 @@ def _score_one(pair, model_a, model_e, thresholds, arabic_transform) -> ScoredPa
 _WORKER_ARGS: tuple = ()
 
 
-def _init_worker(model_a_bytes, model_e_bytes, thresholds, arabic_transform):
+def _init_worker(snap_a, snap_e, thresholds, arabic_transform):
+    """Keep the scoring arguments for this worker process.
+
+    The snapshots arrive as the parent's frozen objects: under ``fork`` the
+    worker inherits them with no copy, under ``spawn``/``forkserver`` they are
+    pickled once per worker. Either way nothing is rebuilt here.
+    """
     global _WORKER_ARGS
-    models = [PpmModel.loads(data).snapshot() for data in (model_a_bytes, model_e_bytes)]
-    _WORKER_ARGS = (*models, thresholds, arabic_transform)
+    _WORKER_ARGS = (snap_a, snap_e, thresholds, arabic_transform)
 
 
-def _score_in_worker(pair: SentencePair) -> ScoredPair:
-    return _score_one(pair, *_WORKER_ARGS)
+def _score_in_worker(pair: SentencePair) -> tuple[PairScore | None, str | None]:
+    """Score one pair in a worker; only (score, error) travels back, not the pair."""
+    scored = _score_one(pair, *_WORKER_ARGS)
+    return scored.score, scored.error
 
 
 def score_pairs(
@@ -158,20 +169,25 @@ def score_pairs(
     """Score every pair, preserving input order; invalid pairs carry their reason.
 
     With jobs > 1 the pairs fan out over worker processes, no more than
-    pool_size() allows; results are identical to the sequential path.
+    pool_size() allows. Each worker gets the frozen snapshots themselves:
+    inherited under ``fork``, pickled once per worker under ``spawn`` and
+    ``forkserver``. Workers send back only (score, error); the ScoredPairs are
+    rebuilt here around the caller's own pairs, so results are identical to
+    the sequential path.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
     workers = pool_size(jobs, len(pairs), usable_cores())
+    snap_a = model_a.snapshot()
+    snap_e = model_e.snapshot()
     if workers > 1:
         with multiprocessing.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(model_a.dumps(), model_e.dumps(), thresholds, arabic_transform),
+            initargs=(snap_a, snap_e, thresholds, arabic_transform),
         ) as pool:
-            return pool.map(_score_in_worker, pairs, chunksize=64)
-    snap_a = model_a.snapshot()
-    snap_e = model_e.snapshot()
+            replies = pool.map(_score_in_worker, pairs, chunksize=64)
+        return [ScoredPair(pair, score, error) for pair, (score, error) in zip(pairs, replies)]
     return [_score_one(pair, snap_a, snap_e, thresholds, arabic_transform) for pair in pairs]
 
 
@@ -252,9 +268,7 @@ def threshold_matrix(
     ]
 
 
-def greater_stats(
-    pairs: Sequence[SentencePair], scores: Sequence[PairScore]
-) -> tuple[float, float]:
+def greater_stats(scores: Sequence[PairScore]) -> tuple[float, float]:
     """Percentage of pairs whose Arabic side is longer / costs more bits.
 
     Ties count as not-greater.

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import bitextverify.corpus as corpus
 from bitextverify.corpus import (
     CorpusFormatError,
     EvalReport,
@@ -20,8 +27,10 @@ from bitextverify.metrics import (
     UNSATISFACTORY,
     PairScore,
     ThresholdConfig,
+    score_pair,
 )
 from bitextverify.ppm import PpmModel
+from bitextverify.preprocess import ARABIC_NUMERIC
 
 
 def make_score(pair_id, slr_value, cr_value, len_a=10, len_e=10, bits_a=40.0, bits_e=40.0):
@@ -79,6 +88,14 @@ class TestLoadTsv:
         with pytest.warns(UserWarning):
             assert load_tsv(path) == []
 
+    def test_lone_cr_stays_inside_field(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("1\tأ\tfoo\rbar\n2\tب\tb\r\n".encode("utf-8"))
+        pairs = load_tsv(path)
+        assert [p.id for p in pairs] == ["1", "2"]
+        assert pairs[0].text_e == "foo\rbar"
+        assert pairs[1].text_e == "b"
+
 
 class TestLoadAligned:
     def test_zip(self, tmp_path):
@@ -97,6 +114,35 @@ class TestLoadAligned:
         e.write_text("first\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="3.*1"):
             load_aligned(a, e)
+
+    def test_line_separator_on_one_side_stays_in_its_line(self, tmp_path):
+        a = tmp_path / "x.ar"
+        e = tmp_path / "x.en"
+        a.write_text("أول\u2028تابع\nثان\n", encoding="utf-8")
+        e.write_text("first\nsecond\n", encoding="utf-8")
+        pairs = load_aligned(a, e)
+        assert [(p.id, p.text_a, p.text_e) for p in pairs] == [
+            ("1", "أول\u2028تابع", "first"),
+            ("2", "ثان", "second"),
+        ]
+
+    def test_line_separators_on_both_sides_keep_ids(self, tmp_path):
+        a = tmp_path / "x.ar"
+        e = tmp_path / "x.en"
+        a.write_text("أول\u2028تابع\nثان\n", encoding="utf-8")
+        e.write_text("first\u2028more\x85\x0b\x0c\x1c\x1d\x1e\nsecond\n", encoding="utf-8")
+        pairs = load_aligned(a, e)
+        assert [p.id for p in pairs] == ["1", "2"]
+        assert pairs[0].text_e == "first\u2028more\x85\x0b\x0c\x1c\x1d\x1e"
+        assert pairs[1].text_a == "ثان"
+
+    def test_lone_cr_stays_inside_line(self, tmp_path):
+        a = tmp_path / "x.ar"
+        e = tmp_path / "x.en"
+        a.write_bytes("أول\r\nثان\r\n".encode("utf-8"))
+        e.write_bytes(b"first\rpart\r\nsecond\n")
+        pairs = load_aligned(a, e)
+        assert [(p.text_a, p.text_e) for p in pairs] == [("أول", "first\rpart"), ("ثان", "second")]
 
     def test_dispatch_through_load_corpus(self, tmp_path):
         a = tmp_path / "x.ar"
@@ -236,23 +282,21 @@ class TestThresholdMatrix:
 
 class TestGreaterStats:
     def test_ties_count_as_not_greater(self):
-        pairs = [labeled(f"p{i}", SATISFACTORY) for i in range(3)]
         scores = [make_score(f"p{i}", 1.0, 1.0) for i in range(3)]
-        assert greater_stats(pairs, scores) == (0.0, 0.0)
+        assert greater_stats(scores) == (0.0, 0.0)
 
     def test_hand_counted_quarters(self):
-        pairs = [labeled(f"p{i}", SATISFACTORY) for i in range(4)]
         scores = [
             make_score("p0", 1.0, 1.0, len_a=12, len_e=10, bits_a=50.0, bits_e=40.0),
             make_score("p1", 1.0, 1.0, len_a=8, len_e=10, bits_a=50.0, bits_e=40.0),
             make_score("p2", 1.0, 1.0, len_a=9, len_e=10, bits_a=30.0, bits_e=40.0),
             make_score("p3", 1.0, 1.0, len_a=10, len_e=10, bits_a=40.0, bits_e=40.0),
         ]
-        assert greater_stats(pairs, scores) == (25.0, 50.0)
+        assert greater_stats(scores) == (25.0, 50.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            greater_stats([], [])
+            greater_stats([])
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +382,75 @@ class TestScorePairsParallel:
         sequential = score_pairs(pairs, model_a, model_e, jobs=1)
         parallel = score_pairs(pairs, model_a, model_e, jobs=2)
         assert sequential == parallel
+
+    def test_results_wrap_the_callers_pairs(self, filter_models, monkeypatch):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)  # a pool even on one core
+        model_a, model_e = filter_models
+        pairs = [SentencePair(str(i), "مرحبا", "hello") for i in range(5)]
+        pairs.append(SentencePair("empty", "", "x"))
+        scored = score_pairs(pairs, model_a, model_e, jobs=2)
+        assert len(scored) == len(pairs)
+        assert all(item.pair is pair for item, pair in zip(scored, pairs))
+        assert scored[-1].error == "empty arabic side"
+
+
+class TestWorkerPath:
+    """The worker functions, called in this process; no pool is started."""
+
+    def test_worker_scores_with_the_given_snapshots(self, filter_models, monkeypatch):
+        monkeypatch.setattr(corpus, "_WORKER_ARGS", ())
+        model_a, model_e = filter_models
+        thresholds = ThresholdConfig()
+        corpus._init_worker(model_a, model_e, thresholds, ARABIC_NUMERIC)
+        assert corpus._WORKER_ARGS[0] is model_a and corpus._WORKER_ARGS[1] is model_e
+        good = SentencePair("1", "مرحبا بكم", "hello and welcome")
+        expected = score_pair(good, model_a, model_e, thresholds, ARABIC_NUMERIC)
+        assert corpus._score_in_worker(good) == (expected, None)
+        bad = SentencePair("2", "", "hello")
+        assert corpus._score_in_worker(bad) == (None, "empty arabic side")
+
+
+SPAWN_SCRIPT = textwrap.dedent("""
+    import multiprocessing
+
+    import bitextverify.corpus as corpus
+    from bitextverify.corpus import SentencePair, score_pairs
+    from bitextverify.ppm import PpmModel
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        corpus.usable_cores = lambda: 2  # a pool even on one core
+        model_a = PpmModel()
+        model_a.train("مرحبا بكم في المدونة".encode("utf-8"))
+        model_e = PpmModel()
+        model_e.train(b"hello and welcome to the corpus")
+        pairs = [
+            SentencePair(str(i), "مرحبا " * (1 + i % 3), "hello there " * (1 + i % 4))
+            for i in range(36)
+        ]
+        pairs += [SentencePair("ea", "", "x"), SentencePair("ee", "نص", ""),
+                  SentencePair("eb", "", ""), SentencePair("ok", "بكم", "welcome")]
+        serial = score_pairs(pairs, model_a, model_e, jobs=1)
+        pooled = score_pairs(pairs, model_a, model_e, jobs=2)
+        assert pooled == serial, "spawn pool differs from the serial path"
+        assert sum(s.score is None for s in pooled) == 3
+        print("ok", len(pooled))
+""")
+
+
+def test_spawn_pool_matches_serial(tmp_path):
+    """Workers that unpickle the snapshots (spawn, as on macOS) score like the
+    serial path. Runs in a subprocess so this process keeps its start method."""
+    script = tmp_path / "spawn_check.py"
+    script.write_text(SPAWN_SCRIPT, encoding="utf-8")
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok", "40"]
 
 
 class TestPoolSize:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,19 @@ class TestSnapshot:
     def test_snapshot_of_snapshot_is_same_object(self):
         snap = PpmModel(1, 4).snapshot()
         assert snap.snapshot() is snap
+
+    @pytest.mark.parametrize("alphabet", [256, 1000])
+    def test_pickle_round_trip_stays_frozen(self, alphabet):
+        model = PpmModel(3, alphabet)
+        model.train([1, 2, 3, 1, 2, 4, 255, 1, 2])
+        snap = model.snapshot()
+        copy = pickle.loads(pickle.dumps(snap))
+        assert copy is not snap
+        assert copy.frozen
+        assert copy == snap
+        assert copy.config_hash() == snap.config_hash()
+        with pytest.raises(FrozenModelError):
+            copy.train([1, 2])
 
 
 class TestSerialization:
