@@ -22,6 +22,7 @@ from .corpus import (
     filter_corpus,
     greater_stats,
     load_corpus,
+    read_lines,
     score_pairs,
     threshold_matrix,
 )
@@ -71,10 +72,10 @@ def parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _train_on_lines(model: PpmModel, text: str, transform: str) -> tuple[int, int]:
-    """Train each line as one text (history resets per line). Returns (texts, symbols)."""
+def _train_on_lines(model: PpmModel, path, transform: str) -> tuple[int, int]:
+    """Train each line of `path` as one text, history reset per line. Returns (texts, symbols)."""
     n_texts = n_symbols = 0
-    for line in text.splitlines():
+    for line in read_lines(path):
         data = apply_transform(line, transform)
         model.train(data)
         n_texts += 1
@@ -83,24 +84,22 @@ def _train_on_lines(model: PpmModel, text: str, transform: str) -> tuple[int, in
 
 
 def _bundled_model(language: str, transform: str, order: int, alphabet: int) -> PpmModel:
-    text = resources.files("bitextverify").joinpath(f"data/{language}.txt").read_text("utf-8")
     model = PpmModel(order, alphabet)
-    _train_on_lines(model, text, transform)
+    with resources.as_file(resources.files("bitextverify") / f"data/{language}.txt") as path:
+        _train_on_lines(model, path, transform)
     return model
 
 
 def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
-    if args.model_a:
-        model_a, id_a = PpmModel.load(args.model_a), str(args.model_a)
-    else:
-        model_a = _bundled_model("arabic", args.transform, args.order, args.alphabet)
-        id_a = "bundled:arabic"
-    if args.model_e:
-        model_e, id_e = PpmModel.load(args.model_e), str(args.model_e)
-    else:
-        model_e = _bundled_model("english", IDENTITY, args.order, args.alphabet)
-        id_e = "bundled:english"
-    return (model_a.snapshot(), id_a), (model_e.snapshot(), id_e)
+    """(snapshot, id) per side: the model file if one is given, else the bundled model."""
+
+    def side(path, language: str, transform: str) -> tuple[PpmModel, str]:
+        if path:
+            return PpmModel.load(path).snapshot(), str(path)
+        model = _bundled_model(language, transform, args.order, args.alphabet)
+        return model.snapshot(), f"bundled:{language}"
+
+    return side(args.model_a, "arabic", args.transform), side(args.model_e, "english", IDENTITY)
 
 
 def _load_pairs(args):
@@ -147,9 +146,8 @@ def _pair_row(pair) -> str:
 
 
 def cmd_train(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
     model = PpmModel(args.order, args.alphabet)
-    n_texts, n_symbols = _train_on_lines(model, text, args.transform)
+    n_texts, n_symbols = _train_on_lines(model, args.input, args.transform)
     model.save(args.out)
     order0 = model.stats(())
     print(

@@ -61,19 +61,20 @@ def load_corpus(path, fmt: str = "tsv", english_path=None) -> list[SentencePair]
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _read_lines(path) -> Iterator[str]:
-    r"""Lines of a UTF-8 file split on "\n" only, each without one trailing "\r\n"
-    or "\n". A lone "\r", U+2028, "\x85" or other separator stays in its line."""
+def read_lines(path) -> Iterator[str]:
+    r"""Lines of any UTF-8 text input, corpus or priming file: split on "\n" only, each
+    without one trailing "\r\n" or "\n". A lone "\r", U+2028 or "\x85" stays in its line."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for line in fh:
             yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 def load_tsv(path) -> list[SentencePair]:
-    """TSV columns: id, arabic, english, then optional label and category."""
+    r"""TSV columns: id, arabic, english, then optional label and category. No
+    field may end in "\r"."""
     pairs: list[SentencePair] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
         cols = line.split("\t")
@@ -81,6 +82,8 @@ def load_tsv(path) -> list[SentencePair]:
             raise CorpusFormatError(
                 f"{path}:{lineno}: expected 3 to 5 tab-separated columns, got {len(cols)}"
             )
+        if "\r\t" in line or line.endswith("\r"):  # lost if last in an output row
+            raise CorpusFormatError(f"{path}:{lineno}: a field ends in a carriage return")
         pair_id = cols[0]
         if pair_id in seen_ids:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate pair id {pair_id!r}")
@@ -98,18 +101,21 @@ def load_tsv(path) -> list[SentencePair]:
 
 
 def load_aligned(path_a, path_e) -> list[SentencePair]:
-    """Zip two line-aligned files; ids are 1-based line numbers."""
-    lines_a = list(_read_lines(path_a))
-    lines_e = list(_read_lines(path_e))
+    r"""Zip two line-aligned files; ids are 1-based line numbers. A line may hold
+    no tab and may not end in "\r": it must fit in one field of a TSV output row."""
+    lines_a = list(read_lines(path_a))
+    lines_e = list(read_lines(path_e))
     if len(lines_a) != len(lines_e):
         raise CorpusFormatError(
             f"aligned files differ in length: {path_a} has {len(lines_a)} lines, "
             f"{path_e} has {len(lines_e)}"
         )
-    pairs = [
-        SentencePair(str(i), a, e)
-        for i, (a, e) in enumerate(zip(lines_a, lines_e), 1)
-    ]
+    pairs = []
+    for i, (a, e) in enumerate(zip(lines_a, lines_e), 1):
+        for path, line in ((path_a, a), (path_e, e)):
+            if "\t" in line or line.endswith("\r"):
+                raise CorpusFormatError(f"{path}:{i}: tab or trailing carriage return in line")
+        pairs.append(SentencePair(str(i), a, e))
     if not pairs:
         warnings.warn(f"{path_a}: empty corpus")
     return pairs
@@ -131,11 +137,11 @@ def pool_size(jobs: int, n_pairs: int, cores: int) -> int:
     return max(1, min(jobs, cores, n_pairs))
 
 
-def _score_one(pair, model_a, model_e, thresholds, arabic_transform) -> ScoredPair:
+def _score_one(pair, model_a, model_e, thresholds, arabic_transform):
     try:
-        return ScoredPair(pair, score_pair(pair, model_a, model_e, thresholds, arabic_transform))
+        return score_pair(pair, model_a, model_e, thresholds, arabic_transform), None
     except InvalidPairError as exc:
-        return ScoredPair(pair, None, exc.reason)
+        return None, exc.reason
 
 
 _WORKER_ARGS: tuple = ()
@@ -154,8 +160,7 @@ def _init_worker(snap_a, snap_e, thresholds, arabic_transform):
 
 def _score_in_worker(pair: SentencePair) -> tuple[PairScore | None, str | None]:
     """Score one pair in a worker; only (score, error) travels back, not the pair."""
-    scored = _score_one(pair, *_WORKER_ARGS)
-    return scored.score, scored.error
+    return _score_one(pair, *_WORKER_ARGS)
 
 
 def score_pairs(
@@ -171,24 +176,20 @@ def score_pairs(
     With jobs > 1 the pairs fan out over worker processes, no more than
     pool_size() allows. Each worker gets the frozen snapshots themselves:
     inherited under ``fork``, pickled once per worker under ``spawn`` and
-    ``forkserver``. Workers send back only (score, error); the ScoredPairs are
-    rebuilt here around the caller's own pairs, so results are identical to
-    the sequential path.
+    ``forkserver``. Both paths give (score, None) per pair, or (None, reason)
+    for a pair that cannot be scored, and the ScoredPairs are built here
+    around the caller's own pairs, so the results are identical.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
     workers = pool_size(jobs, len(pairs), usable_cores())
-    snap_a = model_a.snapshot()
-    snap_e = model_e.snapshot()
+    args = (model_a.snapshot(), model_e.snapshot(), thresholds, arabic_transform)
     if workers > 1:
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(snap_a, snap_e, thresholds, arabic_transform),
-        ) as pool:
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=args) as pool:
             replies = pool.map(_score_in_worker, pairs, chunksize=64)
-        return [ScoredPair(pair, score, error) for pair, (score, error) in zip(pairs, replies)]
-    return [_score_one(pair, snap_a, snap_e, thresholds, arabic_transform) for pair in pairs]
+    else:
+        replies = [_score_one(pair, *args) for pair in pairs]
+    return [ScoredPair(pair, score, error) for pair, (score, error) in zip(pairs, replies)]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -321,17 +322,16 @@ def filter_corpus(
             category, {"accepted": 0, "rejected": 0, "invalid": 0}
         )
         if item.score is None:
-            report.invalid_count += 1
             report.invalid.append((item.pair.id, item.error or "unscorable"))
             bucket["invalid"] += 1
         elif item.score.verdict == SATISFACTORY:
             accepted.append(item)
-            report.accepted_count += 1
             bucket["accepted"] += 1
         else:
             rejected.append(item)
-            report.rejected_count += 1
             bucket["rejected"] += 1
+    report.accepted_count, report.rejected_count = len(accepted), len(rejected)
+    report.invalid_count = len(report.invalid)
     valid = report.accepted_count + report.rejected_count
     if valid:
         report.accepted_pct = 100.0 * report.accepted_count / valid

@@ -32,17 +32,15 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
-
-# TODO: optional coding-exclusion flag for estimate/ideal_bits (escape mass
-# currently never excludes symbols already ruled out at higher orders).
 
 DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
 
 _MAGIC = b"PPMV1"
 _ENTRY = struct.Struct(">IQ")  # one (symbol, count) entry of a dumped context
-_pack_entry, _unpack_entry = _ENTRY.pack, _ENTRY.unpack_from
+_pack_entry = _ENTRY.pack
 
 SYMBOL = "symbol"
 ESCAPE = "escape"
@@ -333,6 +331,10 @@ class PpmModel:
 
     @classmethod
     def loads(cls, data: bytes) -> "PpmModel":
+        """Parse a dump of dumps(). Raises ValueError on a truncated dump, or on one
+        that breaks what the estimator relies on: each context at most max_order
+        long and listed once, each symbol in the alphabet and listed once per
+        context, each count at least 1."""
         if data[:5] != _MAGIC:
             raise ValueError("not a PPMV1 model dump")
         try:
@@ -340,26 +342,37 @@ class PpmModel:
             pos = 5 + struct.calcsize(">BIQ")
             model = cls(max_order, alphabet_size)
             table = model._table
+            empty = table[model._keys(())]  # pre-inserted by __init__
             key = bytes if alphabet_size <= 256 else tuple
             for _ in range(n_contexts):
                 (ctx_len,) = struct.unpack_from(">B", data, pos)
-                pos += 1
-                ctx = key(struct.unpack_from(f">{ctx_len}I", data, pos))
-                pos += 4 * ctx_len
-                (n_entries,) = struct.unpack_from(">I", data, pos)
-                pos += 4
-                counts: dict[int, int] = {}
-                for _ in range(n_entries):
-                    s, c = _unpack_entry(data, pos)
-                    pos += 12
-                    counts[s] = c
-                table[ctx] = ContextStats(counts, sum(counts.values()))
+                ctx = struct.unpack_from(f">{ctx_len}I", data, pos + 1)
+                (n_entries,) = struct.unpack_from(">I", data, pos + 1 + 4 * ctx_len)
+                pos += 5 + 4 * ctx_len
+                end = pos + _ENTRY.size * n_entries
+                if end > len(data):
+                    raise struct.error("entries run past the end")
+                counts = dict(_ENTRY.iter_unpack(data[pos:end]))
+                pos = end
+                if ctx_len > max_order:
+                    raise ValueError(f"context {ctx} is longer than max_order {max_order}")
+                if len(counts) != n_entries:
+                    raise ValueError(f"context {ctx} lists a symbol twice")
+                if 0 in counts.values():
+                    raise ValueError(f"context {ctx} has a count below 1")
+                table[key(ctx)] = ContextStats(counts, sum(counts.values()))
         except struct.error as exc:
             raise ValueError("truncated PPMV1 model dump") from exc
-        except ValueError as exc:  # a context symbol above 255 in a byte-alphabet model
+        except ValueError as exc:  # also a context symbol above 255 in a byte-alphabet dump
             raise ValueError(f"corrupt PPMV1 model dump: {exc}") from exc
         if pos != len(data):
             raise ValueError("trailing garbage after PPMV1 model dump")
+        # a dump that lists no empty context keeps the pre-inserted one; a repeat loads one fewer
+        if len(table) != n_contexts + (table[model._keys(())] is empty):
+            raise ValueError("corrupt PPMV1 model dump: a context is listed twice")
+        entry_symbols = chain.from_iterable(stats.counts for stats in table.values())
+        if max(chain(chain.from_iterable(table), entry_symbols), default=0) >= alphabet_size:
+            raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
         return model
 
     def save(self, path) -> None:

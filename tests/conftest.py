@@ -13,16 +13,13 @@ def char_model(text: str, order: int, alphabet_size: int | None = None):
 
 @pytest.fixture(scope="session")
 def bundled_models():
-    """Snapshots of the default desk-corpus models, trained once per session."""
-    from importlib import resources
+    """Snapshots of the default desk-corpus models, trained once per session by
+    the CLI's own priming path."""
+    from bitextverify.cli import _bundled_model
+    from bitextverify.ppm import DEFAULT_ALPHABET_SIZE, DEFAULT_MAX_ORDER
+    from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 
-    from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY, apply_transform
-
-    models = {}
-    for lang, transform in (("arabic", ARABIC_NUMERIC), ("english", IDENTITY)):
-        text = resources.files("bitextverify").joinpath(f"data/{lang}.txt").read_text("utf-8")
-        model = PpmModel()
-        for line in text.splitlines():
-            model.train(apply_transform(line, transform))
-        models[lang] = model.snapshot()
-    return models["arabic"], models["english"]
+    return tuple(
+        _bundled_model(lang, transform, DEFAULT_MAX_ORDER, DEFAULT_ALPHABET_SIZE).snapshot()
+        for lang, transform in (("arabic", ARABIC_NUMERIC), ("english", IDENTITY))
+    )

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from bitextverify import cli
 from bitextverify.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, fmt_pct, main, parse_grid
 from bitextverify.ppm import PpmModel
+from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 
 AR_LINE = "ذهب رجل الى السوق ليشتري الخبز والفاكهة."
 EN_LINE = "A man went to the market to buy bread and fruit."
@@ -71,6 +73,34 @@ class TestTrain:
         main(["train", "--input", str(src), "--out", str(out), "--transform", "arabic-numeric"])
         # single-byte recoding: symbol count equals character count
         assert f"{len(AR_LINE)} symbols" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["ab\u2028cd\nef\n", "a\rb\nc\n"])
+    def test_train_splits_lines_like_the_corpus_loaders(self, tmp_path, capsys, text):
+        src = tmp_path / "priming.txt"
+        src.write_bytes(text.encode("utf-8"))
+        assert main(["train", "--input", str(src), "--out", str(tmp_path / "m.ppm")]) == 0
+        assert "trained 2 texts" in capsys.readouterr().out
+
+
+class TestModelLoading:
+    def test_bundled_model_hashes(self):
+        for language, transform, digest in (
+            ("arabic", ARABIC_NUMERIC, "3904117a500a0e60"),
+            ("english", IDENTITY, "c17e2503c48e1d54"),
+        ):
+            model = cli._bundled_model(language, transform, 5, 256)
+            assert model.config_hash().hex() == digest
+
+    def test_model_file_on_one_side_bundled_on_the_other(self, tmp_path):
+        path = tmp_path / "a.ppm"
+        model = PpmModel()
+        model.train("مرحبا".encode("utf-8"))
+        model.save(path)
+        args = cli.build_parser().parse_args(["filter", "--out-dir", "x", "--model-a", str(path)])
+        (model_a, id_a), (model_e, id_e) = cli._load_models(args)
+        assert (id_a, id_e) == (str(path), "bundled:english")
+        assert model_a == model and model_a.frozen and model_e.frozen
+        assert model_e.config_hash().hex() == "c17e2503c48e1d54"
 
 
 class TestScore:
@@ -234,6 +264,15 @@ class TestExitCodes:
 
     def test_missing_required_input_is_config_error(self):
         assert main(["score"]) == EXIT_CONFIG
+
+    def test_corrupt_model_is_config_error(self, tmp_path, corpus_tsv):
+        model = PpmModel(2, 256)
+        model.train(b"abc")
+        data = bytearray(model.dumps())
+        data[5] = 1  # max_order 1 under a dumped context of length 2
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
 
     def test_invalid_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitextverify.corpus as corpus
+from bitextverify.cli import _pair_row, _write_lines
 from bitextverify.corpus import (
     CorpusFormatError,
     EvalReport,
+    LABELS,
     SentencePair,
     evaluate,
     filter_corpus,
@@ -96,6 +100,15 @@ class TestLoadTsv:
         assert pairs[0].text_e == "foo\rbar"
         assert pairs[1].text_e == "b"
 
+    @pytest.mark.parametrize("row", ["2\tب\tsome text\r\r\n", "2\tب\tsome text\r\t\t\n"])
+    def test_field_ending_in_cr_rejected(self, tmp_path, row):
+        # "\r\r\n" loses one "\r" with its terminator; the other, like an English
+        # field ending in "\r" before empty columns, would not survive an output row
+        path = tmp_path / "c.tsv"
+        path.write_bytes(f"1\tأ\ta\n{row}".encode("utf-8"))
+        with pytest.raises(CorpusFormatError, match=r"c\.tsv:2: a field ends in a carriage return"):
+            load_tsv(path)
+
 
 class TestLoadAligned:
     def test_zip(self, tmp_path):
@@ -144,6 +157,20 @@ class TestLoadAligned:
         pairs = load_aligned(a, e)
         assert [(p.text_a, p.text_e) for p in pairs] == [("أول", "first\rpart"), ("ثان", "second")]
 
+    @pytest.mark.parametrize("name, bad", [
+        ("x.ar", "نص\tعربي\n"),
+        ("x.en", "some\ttext\n"),
+        ("x.ar", "نص\r\r\n"),
+        ("x.en", "text\r"),
+    ])
+    def test_line_a_tsv_field_cannot_hold_rejected(self, tmp_path, name, bad):
+        files = {"x.ar": "أول\nثان\n", "x.en": "first\nsecond\n"}
+        files[name] = files[name].split("\n")[0] + "\n" + bad
+        for file, text in files.items():
+            (tmp_path / file).write_bytes(text.encode("utf-8"))
+        with pytest.raises(CorpusFormatError, match=rf"{name}:2: tab or trailing carriage return"):
+            load_aligned(tmp_path / "x.ar", tmp_path / "x.en")
+
     def test_dispatch_through_load_corpus(self, tmp_path):
         a = tmp_path / "x.ar"
         e = tmp_path / "x.en"
@@ -158,6 +185,49 @@ class TestLoadAligned:
 
 def labeled(pair_id, label):
     return SentencePair(pair_id, "نص", "text", label)
+
+
+# Fields rich in the characters a TSV row or a line split could mangle.
+FIELD = st.one_of(
+    st.text(st.sampled_from(list("ab \t\r\n\u2028\x85\x0bنص")), max_size=6),
+    st.text(max_size=6),
+)
+
+
+def _write_back_and_reload(pairs, directory):
+    out = Path(directory) / "out.tsv"
+    _write_lines(out, [_pair_row(p) for p in pairs])
+    return load_tsv(out)
+
+
+@pytest.mark.filterwarnings("ignore:.*empty corpus")
+class TestOutputRoundTrip:
+    """A pair that loads is written by the filter outputs as a row that loads back equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=st.tuples(FIELD, FIELD, FIELD, st.sampled_from(["", *LABELS]), FIELD))
+    def test_tsv(self, cols):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "in.tsv"
+            path.write_bytes(("\t".join(cols) + "\n").encode("utf-8"))
+            try:
+                pairs = load_tsv(path)
+            except CorpusFormatError:
+                return
+            assert _write_back_and_reload(pairs, directory) == pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(arabic=FIELD, english=FIELD)
+    def test_aligned(self, arabic, english):
+        with tempfile.TemporaryDirectory() as directory:
+            path_a, path_e = Path(directory) / "in.ar", Path(directory) / "in.en"
+            path_a.write_bytes(arabic.encode("utf-8"))
+            path_e.write_bytes(english.encode("utf-8"))
+            try:
+                pairs = load_aligned(path_a, path_e)
+            except CorpusFormatError:
+                return
+            assert _write_back_and_reload(pairs, directory) == pairs
 
 
 class TestEvaluate:

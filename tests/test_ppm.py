@@ -1,5 +1,6 @@
 import math
 import pickle
+import struct
 from fractions import Fraction
 
 import pytest
@@ -287,12 +288,48 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PpmModel.loads(data[:-1] if len(data) > 18 else data + b"x")
 
+    def test_empty_context_listed_once_is_not_a_duplicate(self):
+        # __init__ pre-inserts the empty context; a dump without it still loads
+        assert PpmModel.loads(_dump(2, 256, [((), [(7, 2)])])).stats(()).counts == {7: 2}
+        assert len(PpmModel.loads(_dump(2, 256, [((1,), [(2, 1)])]))) == 2
+
+    @pytest.mark.parametrize("order, alphabet, contexts", [
+        pytest.param(1, 256, [((), [(1, 1)]), ((1, 2, 3), [(1, 1)])], id="context-above-max-order"),
+        pytest.param(2, 100, [((), [(1, 1)]), ((150,), [(1, 1)])], id="context-symbol-outside"),
+        pytest.param(2, 1000, [((), [(1, 1)]), ((1500,), [(1, 1)])], id="tuple-key-symbol-outside"),
+        pytest.param(5, 256, [((), [(300, 1)])], id="entry-symbol-outside"),
+        pytest.param(5, 256, [((), [(1, 1), (2, 0)])], id="count-below-one"),
+        pytest.param(5, 256, [((), [(300, 0)])], id="symbol-300-count-0"),
+        pytest.param(5, 256, [((), [(1, 1), (1, 2)])], id="symbol-twice"),
+        pytest.param(5, 256, [((), [(1, 1)]), ((1,), [(2, 1)]), ((1,), [(2, 1)])], id="context-twice"),
+        pytest.param(5, 256, [((), [(1, 1)]), ((), [(1, 1)])], id="empty-context-twice"),
+        pytest.param(5, 256, [((1,), [(2, 1)]), ((1,), [(2, 1)])], id="twice-without-empty"),
+    ])
+    def test_corrupt_dump_rejected(self, order, alphabet, contexts):
+        with pytest.raises(ValueError, match="corrupt PPMV1 model dump"):
+            PpmModel.loads(_dump(order, alphabet, contexts))
+
+    def test_entries_past_the_end_are_truncation(self):
+        data = _dump(2, 256, [((), [(1, 1), (2, 1)])])
+        with pytest.raises(ValueError, match="truncated"):
+            PpmModel.loads(data[:-12])
+
     def test_config_hash_tracks_state(self):
         a = PpmModel(2, 256)
         b = PpmModel(2, 256)
         assert a.config_hash() == b.config_hash()
         a.train(b"z")
         assert a.config_hash() != b.config_hash()
+
+
+def _dump(order, alphabet, contexts):
+    """A PPMV1 dump written field by field, so it may break any invariant."""
+    out = bytearray(b"PPMV1") + struct.pack(">BIQ", order, alphabet, len(contexts))
+    for ctx, entries in contexts:
+        out += struct.pack(f">B{len(ctx)}II", len(ctx), *ctx, len(entries))
+        for symbol, count in entries:
+            out += struct.pack(">IQ", symbol, count)
+    return bytes(out)
 
 
 def test_context_stats_equality_ignores_insertion_order():
