@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +15,10 @@ from .metrics import (
     InvalidPairError,
     PairScore,
     ThresholdConfig,
-    score_pair,
+    pair_score,
+    prepare_sides,
+    score_pair,  # looked up here by bench/spans.py
+    side_bits,
     verdict,
 )
 from .ppm import PpmModel
@@ -137,30 +139,24 @@ def pool_size(jobs: int, n_pairs: int, cores: int) -> int:
     return max(1, min(jobs, cores, n_pairs))
 
 
-def _score_one(pair, model_a, model_e, thresholds, arabic_transform):
-    try:
-        return score_pair(pair, model_a, model_e, thresholds, arabic_transform), None
-    except InvalidPairError as exc:
-        return None, exc.reason
+_SNAPSHOTS: tuple = ()
 
 
-_WORKER_ARGS: tuple = ()
+def _init_worker(snap_a, snap_e):
+    """Keep the two frozen snapshots for this worker process.
 
-
-def _init_worker(snap_a, snap_e, thresholds, arabic_transform):
-    """Keep the scoring arguments for this worker process.
-
-    The snapshots arrive as the parent's frozen objects: under ``fork`` the
-    worker inherits them with no copy, under ``spawn``/``forkserver`` they are
-    pickled once per worker. Either way nothing is rebuilt here.
+    Under ``fork`` the worker inherits the parent's objects with no copy,
+    under ``spawn``/``forkserver`` they are pickled once per worker. Either
+    way nothing is rebuilt here.
     """
-    global _WORKER_ARGS
-    _WORKER_ARGS = (snap_a, snap_e, thresholds, arabic_transform)
+    global _SNAPSHOTS
+    _SNAPSHOTS = (snap_a, snap_e)
 
 
-def _score_in_worker(pair: SentencePair) -> tuple[PairScore | None, str | None]:
-    """Score one pair in a worker; only (score, error) travels back, not the pair."""
-    return _score_one(pair, *_WORKER_ARGS)
+def _bits_in_worker(task: tuple[int, bytes]) -> float:
+    """Code length of one task: (side, prepared bytes), side 0 Arabic, 1 English."""
+    side, data = task
+    return side_bits(_SNAPSHOTS[side], data)
 
 
 def score_pairs(
@@ -173,23 +169,51 @@ def score_pairs(
 ) -> list[ScoredPair]:
     """Score every pair, preserving input order; invalid pairs carry their reason.
 
-    With jobs > 1 the pairs fan out over worker processes, no more than
-    pool_size() allows. Each worker gets the frozen snapshots themselves:
-    inherited under ``fork``, pickled once per worker under ``spawn`` and
-    ``forkserver``. Both paths give (score, None) per pair, or (None, reason)
-    for a pair that cannot be scored, and the ScoredPairs are built here
-    around the caller's own pairs, so the results are identical.
+    Each distinct side is scored once. A side's code length depends only on
+    its prepared bytes and its language's frozen snapshot, since every
+    sentence adapts a private overlay, so a repeated side reuses its float and
+    each result equals score_pair() on that pair.
+
+    Every pair is first checked for an empty side (Arabic first) and both
+    sides are prepared; the distinct (side, bytes) tasks are kept in
+    first-seen order, for this call only and at most two per pair. With
+    jobs > 1 the tasks fan out over at most pool_size() worker processes,
+    which hold the two frozen snapshots (inherited under ``fork``, pickled
+    once per worker under ``spawn`` and ``forkserver``), receive (side,
+    bytes) and reply with a float. The PairScores are built here around the
+    caller's own pairs, so both paths give identical results.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
     workers = pool_size(jobs, len(pairs), usable_cores())
-    args = (model_a.snapshot(), model_e.snapshot(), thresholds, arabic_transform)
+    tasks: dict[tuple[int, bytes], int] = {}  # (side, prepared bytes) -> task index
+    plan: list[tuple | str] = []  # per pair: (len_a, len_e, task_a, task_e) or the reason
+    for pair in pairs:
+        try:
+            prep_a, prep_e = prepare_sides(pair, arabic_transform)
+        except InvalidPairError as exc:
+            plan.append(exc.reason)
+            continue
+        task_a = tasks.setdefault((0, prep_a.data), len(tasks))
+        task_e = tasks.setdefault((1, prep_e.data), len(tasks))
+        plan.append((prep_a.char_length, prep_e.char_length, task_a, task_e))
+    snapshots = (model_a.snapshot(), model_e.snapshot())
     if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=args) as pool:
-            replies = pool.map(_score_in_worker, pairs, chunksize=64)
+        import multiprocessing  # only here: the serial path and the CLI's import skip it
+
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=snapshots) as pool:
+            bits = pool.map(_bits_in_worker, tasks, chunksize=64)
     else:
-        replies = [_score_one(pair, *args) for pair in pairs]
-    return [ScoredPair(pair, score, error) for pair, (score, error) in zip(pairs, replies)]
+        bits = [side_bits(snapshots[side], data) for side, data in tasks]
+    results = []
+    for pair, step in zip(pairs, plan):
+        if isinstance(step, str):
+            results.append(ScoredPair(pair, None, step))
+        else:
+            len_a, len_e, task_a, task_e = step
+            score = pair_score(pair.id, len_a, len_e, bits[task_a], bits[task_e], thresholds)
+            results.append(ScoredPair(pair, score))
+    return results
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .coder import ideal_bits
 from .ppm import PpmModel
-from .preprocess import ARABIC_NUMERIC, IDENTITY, prepare
+from .preprocess import ARABIC_NUMERIC, IDENTITY, PreparedText, prepare
 
 if TYPE_CHECKING:
     from .corpus import SentencePair
@@ -119,6 +119,48 @@ class PairScore:
         )
 
 
+def prepare_sides(
+    pair: "SentencePair", arabic_transform: str = ARABIC_NUMERIC
+) -> tuple[PreparedText, PreparedText]:
+    """Both sides of a pair prepared for scoring, (arabic, english).
+
+    The Arabic side goes through `arabic_transform`, the English side through
+    the identity transform. An empty side raises InvalidPairError, the Arabic
+    side checked first.
+    """
+    if not pair.text_a:
+        raise InvalidPairError(pair.id, "empty arabic side")
+    if not pair.text_e:
+        raise InvalidPairError(pair.id, "empty english side")
+    return prepare(pair.text_a, arabic_transform), prepare(pair.text_e, IDENTITY)
+
+
+def side_bits(model: PpmModel, data: bytes) -> float:
+    """Code length of one prepared side: ideal_bits over a private adaptive
+    overlay, so the shared snapshot is never mutated and the result depends
+    only on `data` and `model`."""
+    return ideal_bits(model, data, adapt=True)
+
+
+def pair_score(pair_id: str, len_a: int, len_e: int, bits_a: float, bits_e: float,
+               thresholds: ThresholdConfig) -> PairScore:
+    """The PairScore of a pair whose sides have these lengths and code lengths."""
+    slr_value = slr(len_a, len_e)
+    cr_value = cr(bits_a, bits_e)
+    return PairScore(
+        pair_id=pair_id,
+        len_a=len_a,
+        len_e=len_e,
+        bits_a=bits_a,
+        bits_e=bits_e,
+        h_a=cross_entropy(bits_a, len_a),
+        h_e=cross_entropy(bits_e, len_e),
+        slr=slr_value,
+        cr=cr_value,
+        verdict=verdict(slr_value, cr_value, thresholds),
+    )
+
+
 def score_pair(
     pair: "SentencePair",
     model_a: PpmModel,
@@ -126,34 +168,10 @@ def score_pair(
     thresholds: ThresholdConfig | None = None,
     arabic_transform: str = ARABIC_NUMERIC,
 ) -> PairScore:
-    """Score one sentence pair against frozen per-language models.
-
-    The Arabic side goes through the arabic-numeric transform, the English
-    side through the identity transform; both are measured with ideal_bits
-    over a private adaptive overlay, so shared snapshots are never mutated
-    and scoring order cannot matter.
-    """
-    if thresholds is None:
-        thresholds = ThresholdConfig()
-    if not pair.text_a:
-        raise InvalidPairError(pair.id, "empty arabic side")
-    if not pair.text_e:
-        raise InvalidPairError(pair.id, "empty english side")
-    prep_a = prepare(pair.text_a, arabic_transform)
-    prep_e = prepare(pair.text_e, IDENTITY)
-    bits_a = ideal_bits(model_a, prep_a.data, adapt=True)
-    bits_e = ideal_bits(model_e, prep_e.data, adapt=True)
-    slr_value = slr(prep_a.char_length, prep_e.char_length)
-    cr_value = cr(bits_a, bits_e)
-    return PairScore(
-        pair_id=pair.id,
-        len_a=prep_a.char_length,
-        len_e=prep_e.char_length,
-        bits_a=bits_a,
-        bits_e=bits_e,
-        h_a=cross_entropy(bits_a, prep_a.char_length),
-        h_e=cross_entropy(bits_e, prep_e.char_length),
-        slr=slr_value,
-        cr=cr_value,
-        verdict=verdict(slr_value, cr_value, thresholds),
+    """Score one sentence pair against frozen per-language models."""
+    prep_a, prep_e = prepare_sides(pair, arabic_transform)
+    return pair_score(
+        pair.id, prep_a.char_length, prep_e.char_length,
+        side_bits(model_a, prep_a.data), side_bits(model_e, prep_e.data),
+        thresholds or ThresholdConfig(),
     )

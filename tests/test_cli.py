@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bitextverify import cli
+from bitextverify import corpus
 from bitextverify.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, fmt_pct, main, parse_grid
 from bitextverify.ppm import PpmModel
 from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
@@ -213,6 +217,25 @@ class TestFilter:
             )
         assert outputs[0] == outputs[1]
 
+    def test_serial_run_skips_multiprocessing(self, tmp_path, corpus_tsv):
+        """Importing the CLI and a --jobs 1 filter never import multiprocessing.
+        Runs in a fresh interpreter: the test runner may have imported it here."""
+        out_dir = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from bitextverify.cli import main\n"
+            "assert 'multiprocessing' not in sys.modules, 'imported by the CLI'\n"
+            f"assert main(['filter', '--pairs', {str(corpus_tsv)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'imported by a serial filter'\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out_dir / "report.json").exists()
+
 
 class TestStats:
     def test_self_paired_zero_percent(self, tmp_path, capsys):
@@ -273,6 +296,16 @@ class TestExitCodes:
         path = tmp_path / "bad.ppm"
         path.write_bytes(data)
         assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,
+                                                       monkeypatch):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)  # a pool even on one core
+        path = tmp_path / "small.ppm"
+        PpmModel(2, 4).save(path)
+        out_dir = tmp_path / "out"
+        args = ["--pairs", str(corpus_tsv), "--model-e", str(path), "--jobs", jobs]
+        assert main(["filter", *args, "--out-dir", str(out_dir)]) == EXIT_CONFIG
 
     def test_invalid_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -26,15 +26,17 @@ from bitextverify.corpus import (
     threshold_matrix,
     usable_cores,
 )
+from bitextverify.coder import ideal_bits
 from bitextverify.metrics import (
     SATISFACTORY,
     UNSATISFACTORY,
+    InvalidPairError,
     PairScore,
     ThresholdConfig,
     score_pair,
 )
 from bitextverify.ppm import PpmModel
-from bitextverify.preprocess import ARABIC_NUMERIC
+from bitextverify.preprocess import ARABIC_NUMERIC, prepare
 
 
 def make_score(pair_id, slr_value, cr_value, len_a=10, len_e=10, bits_a=40.0, bits_e=40.0):
@@ -468,16 +470,74 @@ class TestWorkerPath:
     """The worker functions, called in this process; no pool is started."""
 
     def test_worker_scores_with_the_given_snapshots(self, filter_models, monkeypatch):
-        monkeypatch.setattr(corpus, "_WORKER_ARGS", ())
+        monkeypatch.setattr(corpus, "_SNAPSHOTS", ())
         model_a, model_e = filter_models
-        thresholds = ThresholdConfig()
-        corpus._init_worker(model_a, model_e, thresholds, ARABIC_NUMERIC)
-        assert corpus._WORKER_ARGS[0] is model_a and corpus._WORKER_ARGS[1] is model_e
-        good = SentencePair("1", "مرحبا بكم", "hello and welcome")
-        expected = score_pair(good, model_a, model_e, thresholds, ARABIC_NUMERIC)
-        assert corpus._score_in_worker(good) == (expected, None)
-        bad = SentencePair("2", "", "hello")
-        assert corpus._score_in_worker(bad) == (None, "empty arabic side")
+        corpus._init_worker(model_a, model_e)
+        assert corpus._SNAPSHOTS[0] is model_a and corpus._SNAPSHOTS[1] is model_e
+        data_a = prepare("مرحبا بكم", ARABIC_NUMERIC).data
+        data_e = b"hello and welcome"
+        assert corpus._bits_in_worker((0, data_a)) == ideal_bits(model_a, data_a, adapt=True)
+        assert corpus._bits_in_worker((1, data_e)) == ideal_bits(model_e, data_e, adapt=True)
+        # the same bytes on the other side are scored with the other model
+        assert corpus._bits_in_worker((1, data_a)) == ideal_bits(model_e, data_a, adapt=True)
+
+
+# sides drawn from a few short texts, so most of them repeat; "" makes a pair invalid
+_SIDE = st.sampled_from(["", "abc", "ab", "a b", "مرحبا", "ab ab", "نص abc"])
+_REPEATED_PAIRS = st.lists(st.tuples(_SIDE, _SIDE), max_size=30).map(
+    lambda sides: [SentencePair(str(i), a, e) for i, (a, e) in enumerate(sides)]
+)
+
+
+class TestDistinctSides:
+    """score_pairs scores each distinct side once; the results must be those of
+    score_pair on every pair, repeated, empty and cross-language-equal sides included."""
+
+    @staticmethod
+    def _expected(pairs, model_a, model_e, thresholds):
+        expected = []
+        for pair in pairs:
+            try:
+                expected.append((score_pair(pair, model_a, model_e, thresholds), None))
+            except InvalidPairError as exc:
+                expected.append((None, exc.reason))
+        return expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(pairs=_REPEATED_PAIRS)
+    def test_equals_score_pair(self, filter_models, jobs, pairs):
+        model_a, model_e = filter_models
+        thresholds = ThresholdConfig(1.5, 1.4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "usable_cores", lambda: 2)  # a pool even on one core
+            scored = score_pairs(pairs, model_a, model_e, thresholds, jobs=jobs)
+        assert [item.pair for item in scored] == pairs
+        got = [(item.score, item.error) for item in scored]
+        assert got == self._expected(pairs, model_a, model_e, thresholds)
+
+    def test_repeats_are_scored_once(self, filter_models, monkeypatch):
+        model_a, model_e = filter_models
+        calls = []
+
+        def fake_bits(model, data):
+            calls.append((model, data))
+            return 8.0
+
+        monkeypatch.setattr(corpus, "side_bits", fake_bits)
+        pairs = [SentencePair("1", "ab", "ab"), SentencePair("2", "ab", "ab"),
+                 SentencePair("3", "", "ab"), SentencePair("4", "ab", "cd")]
+        score_pairs(pairs, model_a, model_e)
+        data_a = prepare("ab", ARABIC_NUMERIC).data
+        assert calls == [(model_a, data_a), (model_e, b"ab"), (model_e, b"cd")]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_small_alphabet_still_raises(self, jobs, monkeypatch):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)
+        model = PpmModel(2, 4)
+        pairs = [SentencePair("1", "ab", "ab"), SentencePair("2", "ab", "ab")]
+        with pytest.raises(ValueError, match="alphabet"):
+            score_pairs(pairs, model, model, jobs=jobs)
 
 
 SPAWN_SCRIPT = textwrap.dedent("""
