@@ -5,7 +5,6 @@ from .coder import CodecError, EncodedBlob, decode, encode, ideal_bits
 from .corpus import (
     CorpusFormatError,
     EvalReport,
-    FilterReport,
     ScoredPair,
     SentencePair,
     evaluate,

@@ -16,7 +16,6 @@ from pathlib import Path
 from .coder import CodecError
 from .corpus import (
     CorpusFormatError,
-    FilterReport,
     UNCATEGORIZED,
     evaluate,
     filter_corpus,
@@ -205,47 +204,42 @@ def cmd_filter(args) -> int:
     pairs = _load_pairs(args)
     (model_a, id_a), (model_e, id_e) = _load_models(args)
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    accepted, rejected, report = filter_corpus(
-        pairs, model_a, model_e, thresholds, args.jobs, args.transform
-    )
+    parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / "accepted.tsv", [_pair_row(s.pair) for s in accepted])
-    _write_lines(out_dir / "rejected.tsv", [_pair_row(s.pair) for s in rejected])
-    reasons = dict(report.invalid)
-    invalid_rows = [_pair_row(p) + "\t" + reasons[p.id] for p in pairs if p.id in reasons]
-    _write_lines(out_dir / "invalid.tsv", invalid_rows)
-    (out_dir / "report.json").write_text(
-        json.dumps(_report_dict(report, thresholds, model_a, id_a, model_e, id_e, args.transform),
-                   indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    print(
-        f"accepted {report.accepted_count} ({fmt_pct(report.accepted_pct)}%), "
-        f"rejected {report.rejected_count} ({fmt_pct(report.rejected_pct)}%), "
-        f"invalid {report.invalid_count}; outputs in {out_dir}"
-    )
-    return EXIT_OK
-
-
-def _report_dict(report: FilterReport, thresholds, model_a, id_a, model_e, id_e, transform):
-    return {
+    names = ("accepted", "rejected", "invalid")
+    counts, per_category = {}, {}
+    for name, part in zip(names, parts):
+        counts[name] = len(part)
+        rows = []
+        for item in part:
+            category = item.pair.category or UNCATEGORIZED
+            per_category.setdefault(category, dict.fromkeys(names, 0))[name] += 1
+            rows.append(_pair_row(item.pair) + (f"\t{item.error}" if item.error else ""))
+        _write_lines(out_dir / f"{name}.tsv", rows)
+    valid = counts["accepted"] + counts["rejected"]
+    percentages = {name: 100.0 * counts[name] / valid if valid else 0.0 for name in names[:2]}
+    report = {
         "thresholds": {"slr": thresholds.theta_slr, "cr": thresholds.theta_cr},
-        "counts": {
-            "accepted": report.accepted_count,
-            "rejected": report.rejected_count,
-            "invalid": report.invalid_count,
-            "total": report.accepted_count + report.rejected_count + report.invalid_count,
-        },
-        "percentages": {"accepted": report.accepted_pct, "rejected": report.rejected_pct},
-        "per_category": report.per_category,
-        "invalid": [list(item) for item in report.invalid],
+        "counts": {**counts, "total": len(pairs)},
+        "percentages": percentages,
+        "per_category": per_category,
+        "invalid": [[item.pair.id, item.error] for item in parts[2]],
         "models": {
             "arabic": {"id": id_a, "hash": model_a.config_hash().hex()},
             "english": {"id": id_e, "hash": model_e.config_hash().hex()},
         },
-        "transform": {"arabic": transform, "english": IDENTITY},
+        "transform": {"arabic": args.transform, "english": IDENTITY},
     }
+    (out_dir / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    print(
+        f"accepted {counts['accepted']} ({fmt_pct(percentages['accepted'])}%), "
+        f"rejected {counts['rejected']} ({fmt_pct(percentages['rejected'])}%), "
+        f"invalid {counts['invalid']}; outputs in {out_dir}"
+    )
+    return EXIT_OK
 
 
 def cmd_stats(args) -> int:

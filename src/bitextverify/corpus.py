@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -131,12 +131,13 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def pool_size(jobs: int, n_pairs: int, cores: int) -> int:
-    """Worker processes for `jobs` requested over `n_pairs` pairs: at most one per
-    usable core and one per pair, and 1 (no pool) for an empty corpus."""
+def pool_size(jobs: int, n_tasks: int, cores: int) -> int:
+    """Worker processes for `jobs` requested over `n_tasks` distinct sides to
+    score: at most one per usable core and one per task, and 1 (no pool) when
+    there is nothing to score."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, cores, n_pairs))
+    return max(1, min(jobs, cores, n_tasks))
 
 
 _SNAPSHOTS: tuple = ()
@@ -185,7 +186,6 @@ def score_pairs(
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
-    workers = pool_size(jobs, len(pairs), usable_cores())
     tasks: dict[tuple[int, bytes], int] = {}  # (side, prepared bytes) -> task index
     plan: list[tuple | str] = []  # per pair: (len_a, len_e, task_a, task_e) or the reason
     for pair in pairs:
@@ -197,6 +197,7 @@ def score_pairs(
         task_a = tasks.setdefault((0, prep_a.data), len(tasks))
         task_e = tasks.setdefault((1, prep_e.data), len(tasks))
         plan.append((prep_a.char_length, prep_e.char_length, task_a, task_e))
+    workers = pool_size(jobs, len(tasks), usable_cores())
     snapshots = (model_a.snapshot(), model_e.snapshot())
     if workers > 1:
         import multiprocessing  # only here: the serial path and the CLI's import skip it
@@ -309,19 +310,6 @@ def greater_stats(scores: Sequence[PairScore]) -> tuple[float, float]:
 # -- filtering ----------------------------------------------------------------
 
 
-@dataclass
-class FilterReport:
-    """Counts and percentages of a filtering run, with per-category breakdown."""
-
-    accepted_count: int = 0
-    rejected_count: int = 0
-    invalid_count: int = 0
-    accepted_pct: float = 0.0  # over valid pairs
-    rejected_pct: float = 0.0
-    per_category: dict[str, dict[str, int]] = field(default_factory=dict)
-    invalid: list[tuple[str, str]] = field(default_factory=list)  # (pair id, reason)
-
-
 def filter_corpus(
     pairs: Sequence[SentencePair],
     model_a: PpmModel,
@@ -329,35 +317,21 @@ def filter_corpus(
     thresholds: ThresholdConfig | None = None,
     jobs: int = 1,
     arabic_transform: str = ARABIC_NUMERIC,
-) -> tuple[list[ScoredPair], list[ScoredPair], FilterReport]:
-    """Partition a corpus by the hybrid verdict.
+) -> tuple[list[ScoredPair], list[ScoredPair], list[ScoredPair]]:
+    """Partition a corpus by the hybrid verdict into (accepted, rejected, invalid).
 
-    Returns (accepted, rejected, report); pairs that cannot be scored are
-    listed in the report and excluded from the percentages. Original order is
-    preserved within each output.
+    Each list keeps input order; an invalid pair, one that cannot be scored,
+    carries its reason in `.error`.
     """
     scored = score_pairs(pairs, model_a, model_e, thresholds, jobs, arabic_transform)
     accepted: list[ScoredPair] = []
     rejected: list[ScoredPair] = []
-    report = FilterReport()
+    invalid: list[ScoredPair] = []
     for item in scored:
-        category = item.pair.category or UNCATEGORIZED
-        bucket = report.per_category.setdefault(
-            category, {"accepted": 0, "rejected": 0, "invalid": 0}
-        )
         if item.score is None:
-            report.invalid.append((item.pair.id, item.error or "unscorable"))
-            bucket["invalid"] += 1
+            invalid.append(item)
         elif item.score.verdict == SATISFACTORY:
             accepted.append(item)
-            bucket["accepted"] += 1
         else:
             rejected.append(item)
-            bucket["rejected"] += 1
-    report.accepted_count, report.rejected_count = len(accepted), len(rejected)
-    report.invalid_count = len(report.invalid)
-    valid = report.accepted_count + report.rejected_count
-    if valid:
-        report.accepted_pct = 100.0 * report.accepted_count / valid
-        report.rejected_pct = 100.0 * report.rejected_count / valid
-    return accepted, rejected, report
+    return accepted, rejected, invalid

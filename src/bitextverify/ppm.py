@@ -22,7 +22,7 @@ range-checked, for every caller and either adapt flag. Every context is then a
 plain slice ``seq[j:i]``, and the table is keyed by those slices, while
 ``contexts()`` and ``stats()`` still speak in int tuples. ``code_text`` is the
 one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe`` is
-the counting step shared by training and both ``update`` methods.
+the counting step shared by training and ``ModelOverlay.update``.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ class PpmModel:
     """Order-d adaptive context model with PPMD estimation.
 
     Mutable while training; ``snapshot()`` returns a frozen copy that is safe
-    to share between any number of concurrent readers. Per-text adaptive
-    scoring goes through ``overlay()`` so snapshots are never touched.
+    to share between any number of concurrent readers. Adaptive coding never
+    touches a snapshot: ``code_text`` counts each text in a private dict, and
+    ``decode`` in a ``ModelOverlay``.
     """
 
     __slots__ = ("max_order", "alphabet_size", "_table", "_frozen", "_hash")
@@ -266,19 +267,9 @@ class PpmModel:
         mine, theirs = (self.max_order, self.alphabet_size), (other.max_order, other.alphabet_size)
         return mine == theirs and self._table == other._table
 
-    def update(self, history: Sequence[int], symbol: int) -> None:
-        """Count one observation of `symbol` after `history`.
-
-        Every context order 0..min(max_order, len(history)) gains one count,
-        creating context entries as needed.
-        """
-        if self._frozen:
-            raise FrozenModelError("snapshot is immutable; use overlay() for adaptive scoring")
-        seq = self._window(history, symbol)
-        _observe(self._table, {}, seq, len(seq) - 1, self.max_order)
-
     def train(self, text: Sequence[int]) -> None:
-        """Fold update() over `text` left to right, starting from an empty history.
+        """Count each symbol of `text` after each of its contexts of order
+        0..max_order, left to right from an empty history.
 
         Each call is one text: the history never spans calls, so priming on
         several documents is independent of their concatenation order.

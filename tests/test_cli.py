@@ -14,6 +14,7 @@ from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 
 AR_LINE = "ذهب رجل الى السوق ليشتري الخبز والفاكهة."
 EN_LINE = "A man went to the market to buy bread and fruit."
+GOLDEN = Path(__file__).parent / "data" / "filter_golden"
 
 
 @pytest.fixture
@@ -216,6 +217,49 @@ class TestFilter:
                 {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_golden_outputs(self, tmp_path, monkeypatch, jobs):
+        """Labelled pairs in two categories and in none, with an empty Arabic and an
+        empty English side: the outputs are the pinned bytes in tests/data/filter_golden."""
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)  # a pool even on one core
+        out_dir = tmp_path / "out"
+        args = ["--pairs", str(GOLDEN / "pairs.tsv"), "--out-dir", str(out_dir), "--jobs", jobs]
+        assert main(["filter", *args]) == 0
+        for name in ("accepted.tsv", "rejected.tsv", "report.json"):
+            assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        # invalid.tsv: ids and row count only. Its rows put the reason where an
+        # unlabelled pair's label goes; ROADMAP item 3 replaces that row format.
+        rows = (out_dir / "invalid.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["5", "6"]
+
+    @pytest.mark.parametrize("rows", ["", "1\t\tenglish only\n2\tنص\t\n"])
+    def test_no_valid_pair_reports_zero_percent(self, tmp_path, rows):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text(rows, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        if rows:
+            assert main(["filter", "--pairs", str(pairs), "--out-dir", str(out_dir)]) == 0
+        else:
+            with pytest.warns(UserWarning, match="empty corpus"):
+                assert main(["filter", "--pairs", str(pairs), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["percentages"] == {"accepted": 0.0, "rejected": 0.0}
+        assert report["counts"]["invalid"] == report["counts"]["total"] == rows.count("\n")
+
+    def test_self_paired_corpus_reports_full_acceptance(self, tmp_path):
+        src = tmp_path / "prime.txt"
+        src.write_text("shared priming text\n", encoding="utf-8")
+        model = tmp_path / "m.ppm"
+        main(["train", "--input", str(src), "--out", str(model)])
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("".join(f"{i}\ttext {i}\ttext {i}\n" for i in range(10)), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["filter", "--pairs", str(pairs), "--model-a", str(model), "--model-e",
+                     str(model), "--transform", "identity", "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["percentages"] == {"accepted": 100.0, "rejected": 0.0}
+        assert report["counts"]["accepted"] == 10
 
     def test_serial_run_skips_multiprocessing(self, tmp_path, corpus_tsv):
         """Importing the CLI and a --jobs 1 filter never import multiprocessing.

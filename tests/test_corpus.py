@@ -389,29 +389,25 @@ class TestFilterCorpus:
             SentencePair("bad", "", "english only"),
             SentencePair("self", "same text", "same text"),
         ]
-        accepted, rejected, report = filter_corpus(pairs, model_a, model_e)
-        ids = [s.pair.id for s in accepted] + [s.pair.id for s in rejected] + [
-            pid for pid, _ in report.invalid
-        ]
+        accepted, rejected, invalid = filter_corpus(pairs, model_a, model_e)
+        ids = [s.pair.id for part in (accepted, rejected, invalid) for s in part]
         assert sorted(ids) == sorted(p.id for p in pairs)
-        assert report.accepted_count + report.rejected_count + report.invalid_count == len(pairs)
-        assert report.invalid == [("bad", "empty arabic side")]
+        assert all(s.score is not None and s.error is None for s in accepted + rejected)
+        assert [(s.pair.id, s.score, s.error) for s in invalid] == [
+            ("bad", None, "empty arabic side")
+        ]
         assert "self" in [s.pair.id for s in accepted]
         assert "short" in [s.pair.id for s in rejected]
 
     def test_empty_corpus(self, filter_models):
         model_a, model_e = filter_models
-        accepted, rejected, report = filter_corpus([], model_a, model_e)
-        assert accepted == [] and rejected == []
-        assert (report.accepted_count, report.rejected_count, report.invalid_count) == (0, 0, 0)
-        assert report.accepted_pct == 0.0
+        assert filter_corpus([], model_a, model_e) == ([], [], [])
 
     def test_self_paired_corpus_fully_accepted(self, filter_models):
         model_a, model_e = filter_models
         pairs = [SentencePair(str(i), f"text {i}", f"text {i}") for i in range(10)]
-        accepted, rejected, report = filter_corpus(pairs, model_a, model_a)
-        assert len(accepted) == 10 and not rejected
-        assert report.accepted_pct == 100.0
+        accepted, rejected, invalid = filter_corpus(pairs, model_a, model_a)
+        assert len(accepted) == 10 and not rejected and not invalid
 
     def test_raising_threshold_grows_accepted_set(self, filter_models):
         model_a, model_e = filter_models
@@ -433,15 +429,18 @@ class TestFilterCorpus:
             SentencePair("2", "نص", "text"),
             SentencePair("3", "", "text", category="news"),
         ]
-        _, _, report = filter_corpus(pairs, model_a, model_e)
-        assert set(report.per_category) == {"news", "uncategorized"}
-        assert report.per_category["news"]["invalid"] == 1
+        accepted, rejected, invalid = filter_corpus(pairs, model_a, model_e)
+        assert {s.pair.id: s.pair.category for s in accepted + rejected} == {"1": "news", "2": None}
+        assert [(s.pair.id, s.pair.category) for s in invalid] == [("3", "news")]
 
     def test_order_preserved(self, filter_models):
         model_a, _ = filter_models
         pairs = [SentencePair(str(i), f"t{i}", f"t{i}") for i in range(30)]
         accepted, _, _ = filter_corpus(pairs, model_a, model_a)
         assert [s.pair.id for s in accepted] == [str(i) for i in range(30)]
+        pairs = [SentencePair(str(i), "" if i % 3 else "t", f"t{i}" * (i % 2)) for i in range(12)]
+        _, _, invalid = filter_corpus(pairs, model_a, model_a)
+        assert [s.pair.id for s in invalid] == [p.id for p in pairs if not (p.text_a and p.text_e)]
 
 
 class TestScorePairsParallel:
@@ -568,17 +567,22 @@ SPAWN_SCRIPT = textwrap.dedent("""
 """)
 
 
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's bitextverify."""
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_spawn_pool_matches_serial(tmp_path):
     """Workers that unpickle the snapshots (spawn, as on macOS) score like the
     serial path. Runs in a subprocess so this process keeps its start method."""
     script = tmp_path / "spawn_check.py"
     script.write_text(SPAWN_SCRIPT, encoding="utf-8")
-    src = str(Path(corpus.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run_python(str(script))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok", "40"]
 
@@ -587,7 +591,7 @@ class TestPoolSize:
     """The pool size is computed by a pure helper; no pool is started here."""
 
     @pytest.mark.parametrize(
-        "jobs,n_pairs,cores,expected",
+        "jobs,n_tasks,cores,expected",
         [
             (1, 100, 8, 1),
             (4, 100, 8, 4),
@@ -598,8 +602,8 @@ class TestPoolSize:
             (8, 0, 8, 1),
         ],
     )
-    def test_capped_by_cores_and_pairs(self, jobs, n_pairs, cores, expected):
-        assert pool_size(jobs, n_pairs, cores) == expected
+    def test_capped_by_cores_and_pairs(self, jobs, n_tasks, cores, expected):
+        assert pool_size(jobs, n_tasks, cores) == expected
 
     @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
     def test_below_one_rejected(self, jobs):
@@ -610,6 +614,26 @@ class TestPoolSize:
         model_a, model_e = filter_models
         with pytest.raises(ValueError):
             score_pairs([SentencePair("1", "نص", "text")], model_a, model_e, jobs=0)
+
+    def test_no_pool_without_a_side_to_score(self):
+        """The pool is sized by distinct sides, not pairs: 5 pairs with an empty
+        Arabic side at jobs=2 on 2 cores score nothing, so no pool is started and
+        multiprocessing is never imported. Runs in a fresh interpreter: the test
+        runner may have imported it here."""
+        proc = _run_python("-c", textwrap.dedent("""
+            import sys
+            import bitextverify.corpus as corpus
+            from bitextverify.corpus import SentencePair, score_pairs
+            from bitextverify.ppm import PpmModel
+
+            corpus.usable_cores = lambda: 2
+            model = PpmModel().snapshot()
+            pairs = [SentencePair(str(i), "", "english side") for i in range(5)]
+            scored = score_pairs(pairs, model, model, jobs=2)
+            assert [s.error for s in scored] == ["empty arabic side"] * 5, scored
+            assert "multiprocessing" not in sys.modules, "a pool was started"
+        """))
+        assert proc.returncode == 0, proc.stderr
 
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1

@@ -126,8 +126,8 @@ class TestEstimate:
 class TestUpdateAndTrain:
     def test_repeated_symbol_same_context(self):
         model = PpmModel(2, 256)
-        model.update(b"qq", ord("x"))
-        model.update(b"qq", ord("x"))
+        model.train(b"qqx")
+        model.train(b"qqx")
         stats = model.stats(tuple(b"qq"))
         assert stats.counts == {ord("x"): 2}
         assert stats.total == 2 and stats.distinct == 1
@@ -192,10 +192,11 @@ def test_mass_conservation_every_context(data):
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
 def test_estimate_update_loop_is_complete_and_accurate(symbols):
-    model = PpmModel(2, 4)
     num_prod = den_prod = 1
     total_float = 0.0
     for i, sym in enumerate(symbols):
+        model = PpmModel(2, 4)  # at step i the adaptive model has counted symbols[:i]
+        model.train(symbols[:i])
         trace = model.estimate(symbols[:i], sym)
         total_float += trace.total_bits
         for step in trace.steps:
@@ -203,7 +204,6 @@ def test_estimate_update_loop_is_complete_and_accurate(symbols):
             if step.probability < 1:
                 num_prod *= step.probability.numerator
                 den_prod *= step.probability.denominator
-        model.update(symbols[:i], sym)
     exact_bits = math.log2(den_prod) - math.log2(num_prod)
     assert total_float == pytest.approx(exact_bits, abs=1e-9)
 
@@ -213,8 +213,6 @@ class TestSnapshot:
         model = PpmModel(2, 256)
         model.train(b"abc")
         snap = model.snapshot()
-        with pytest.raises(FrozenModelError):
-            snap.update(b"a", ord("b"))
         with pytest.raises(FrozenModelError):
             snap.train(b"xyz")
 
