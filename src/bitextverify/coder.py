@@ -9,8 +9,10 @@ bits across the fuzz corpus, typically under 24). ``ideal_bits`` and
 ``encode`` are one pass of ``ppm.code_text``, which converts the text to its
 key sequence and range-checks every symbol first, so an out-of-alphabet symbol
 raises ValueError under either adapt flag. ``decode`` learns each symbol only
-at its coding order, so it walks the chain first and then counts the symbol
-in the stats it fetched.
+at its coding order, so it counts the symbol in the contexts it escaped
+through once it is known, and in the shorter ones as it walks on. It counts
+in a private dict with the kernel's scheme: a context's first touch records
+the bare symbol, and only its second copies the counts.
 
 The coder is a 64-bit range coder with explicit carry propagation into the
 already-emitted bytes. PPMD frequencies are exact small integers (2c-1 per
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .ppm import ModelOverlay, PpmModel, code_text
+from .ppm import PpmModel, code_text
 
 _MAGIC = b"PPMC"
 _VERSION = 1
@@ -43,8 +44,7 @@ class CodecError(ValueError):
     """Blob failed structural validation (header, version, or coding-config hash)."""
 
 
-@dataclass(frozen=True)
-class EncodedBlob:
+class EncodedBlob(NamedTuple):
     """Header plus arithmetic-coded payload; decodes back to the exact input."""
 
     config_hash: bytes  # 8-byte digest over (model state, adapt flag)
@@ -169,37 +169,65 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
         raise CodecError("negative length")
     key = bytes if model.alphabet_size <= 256 else tuple
     out: bytearray | list[int] = bytearray() if key is bytes else []
-    fetch = ModelOverlay(model).fetch if adapt else model._table.get
-    d, alphabet = model.max_order, model.alphabet_size
+    d, alphabet, base = model.max_order, model.alphabet_size, model._table
+    local: dict = {}  # context -> [total, counts], or the one symbol it has seen
     dec = _RangeDecoder(blob.payload)
     for i in range(blob.length):
         hist = key(out[i - d if i > d else 0:i])
-        chain = [fetch(hist[j:]) for j in range(len(hist) + 1)]
+        walked = []  # contexts decoded through, longest first: (context, local entry or None)
         sym = -1
-        for stats in chain:
-            if stats is None or stats.total == 0:
+        for j in range(len(hist) + 1):
+            ctx = hist[j:]
+            entry = local.get(ctx)
+            if entry is not None and entry.__class__ is not list:
+                # second touch: copy, then count the first
+                stats = base.get(ctx)
+                counts = {} if stats is None else stats.counts.copy()
+                counts[entry] = counts.get(entry, 0) + 1
+                entry = local[ctx] = [1 if stats is None else stats.total + 1, counts]
+            if sym >= 0:  # below the coding order: only count the symbol
+                if entry is None:
+                    local[ctx] = sym
+                else:
+                    counts = entry[1]
+                    counts[sym] = counts.get(sym, 0) + 1
+                    entry[0] += 1
                 continue
-            total = 2 * stats.total
+            walked.append((ctx, entry))
+            if entry is None:  # first touch: code from the base table
+                stats = base.get(ctx)
+                if stats is None or not stats.total:
+                    continue
+                total, counts = stats.total, stats.counts
+            else:
+                total, counts = entry
+            total *= 2
             t, r = dec.split(total)
-            esc_start = total - len(stats.counts)
+            esc_start = total - len(counts)
             if t >= esc_start:
-                dec.consume(esc_start, len(stats.counts), r)
+                dec.consume(esc_start, len(counts), r)
                 continue
             start = 0
-            for s, c in stats.counts.items():
+            for s, c in counts.items():
                 width = 2 * c - 1
                 if t < start + width:
                     sym = s
                     dec.consume(start, width, r)
                     break
                 start += width
-            break
+            if not adapt:
+                break
         if sym < 0:
             sym, r = dec.split(alphabet)
             dec.consume(sym, 1, r)
         if adapt:
-            for stats in chain:
-                stats.observe(sym)
+            for ctx, entry in walked:
+                if entry is None:
+                    local[ctx] = sym
+                else:
+                    counts = entry[1]
+                    counts[sym] = counts.get(sym, 0) + 1
+                    entry[0] += 1
         out.append(sym)
     return key(out)
 

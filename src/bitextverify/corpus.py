@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .metrics import (
     METRIC_BOTH,
@@ -32,8 +31,7 @@ class CorpusFormatError(ValueError):
     """Malformed corpus input; the message carries file and line context."""
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """One aligned sentence pair with optional ground-truth label and category."""
 
     id: str
@@ -43,8 +41,7 @@ class SentencePair:
     category: str | None = None
 
 
-@dataclass(frozen=True)
-class ScoredPair:
+class ScoredPair(NamedTuple):
     """A pair with its score, or with the reason it could not be scored."""
 
     pair: SentencePair
@@ -220,8 +217,7 @@ def score_pairs(
 # -- evaluation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-class accuracies against ground truth, in percent.
 
     evaluate() fills these with exact rationals so derived numbers (the

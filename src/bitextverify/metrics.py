@@ -10,8 +10,7 @@ threshold are not "exceeded" and pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coder import ideal_bits
 from .ppm import PpmModel
@@ -29,17 +28,25 @@ METRIC_BOTH = "both"
 METRIC_MODES = (METRIC_SLR, METRIC_CR, METRIC_BOTH)
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
+class _Thresholds(NamedTuple):
+    theta_slr: float
+    theta_cr: float
+
+
+class ThresholdConfig(_Thresholds):
     """The (SLR, CR) threshold pair driving classification."""
 
-    theta_slr: float = 2.5
-    theta_cr: float = 2.25
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in (("theta_slr", self.theta_slr), ("theta_cr", self.theta_cr)):
+    def __new__(cls, theta_slr: float = 2.5, theta_cr: float = 2.25):
+        for name, value in (("theta_slr", theta_slr), ("theta_cr", theta_cr)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        return super().__new__(cls, theta_slr, theta_cr)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
 class InvalidPairError(ValueError):
@@ -94,8 +101,7 @@ def verdict(slr_value: float, cr_value: float, thresholds: ThresholdConfig,
     return UNSATISFACTORY if rejected else SATISFACTORY
 
 
-@dataclass(frozen=True)
-class PairScore:
+class PairScore(NamedTuple):
     """Per-pair lengths, code lengths, bit rates, ratios and verdict."""
 
     pair_id: str

@@ -23,6 +23,11 @@ plain slice ``seq[j:i]``, and the table is keyed by those slices, while
 ``contexts()`` and ``stats()`` still speak in int tuples. ``code_text`` is the
 one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe`` is
 the counting step shared by training and ``ModelOverlay.update``.
+
+A snapshot shares its source's table until the source trains again: the
+first ``train`` after a ``snapshot`` copies the table before it writes, so
+taking a snapshot costs no copy, and a model that is never trained again
+(the CLI's, a loaded model file's) is never copied at all.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
@@ -96,15 +100,13 @@ class ContextStats:
         return f"ContextStats(counts={self.counts!r}, total={self.total})"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     order: int
     kind: str  # SYMBOL, ESCAPE or DETERMINISTIC_ESCAPE
     probability: Fraction
 
 
-@dataclass(frozen=True)
-class ProbabilityTrace:
+class ProbabilityTrace(NamedTuple):
     """The escape chain used to code one symbol, ending in exactly one symbol step."""
 
     steps: tuple[TraceStep, ...]
@@ -207,13 +209,14 @@ def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
 class PpmModel:
     """Order-d adaptive context model with PPMD estimation.
 
-    Mutable while training; ``snapshot()`` returns a frozen copy that is safe
-    to share between any number of concurrent readers. Adaptive coding never
-    touches a snapshot: ``code_text`` counts each text in a private dict, and
-    ``decode`` in a ``ModelOverlay``.
+    Mutable while training; ``snapshot()`` returns a frozen view that is safe
+    to share between any number of concurrent readers. The snapshot shares
+    this model's table until this model trains again, when ``train`` copies
+    the table first. Adaptive coding never touches a snapshot: ``code_text``
+    and ``decode`` count each text in a private dict.
     """
 
-    __slots__ = ("max_order", "alphabet_size", "_table", "_frozen", "_hash")
+    __slots__ = ("max_order", "alphabet_size", "_table", "_frozen", "_hash", "_shared")
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER,
                  alphabet_size: int = DEFAULT_ALPHABET_SIZE):
@@ -226,6 +229,7 @@ class PpmModel:
         self._table: dict = {self._keys(()): ContextStats()}
         self._frozen = False
         self._hash: bytes | None = None
+        self._shared = False  # a snapshot holds _table: copy it before the next write
 
     def _keys(self, text: Sequence[int]) -> bytes | Context:
         """`text` as a key sequence; raises ValueError on a symbol outside the alphabet."""
@@ -276,7 +280,11 @@ class PpmModel:
         """
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; train a mutable model")
-        _observe(self._table, {}, self._keys(text), 0, self.max_order)
+        seq = self._keys(text)
+        if self._shared:
+            self._table = {ctx: stats.copy() for ctx, stats in self._table.items()}
+            self._shared = False
+        _observe(self._table, {}, seq, 0, self.max_order)
 
     def estimate(self, history: Sequence[int], symbol: int) -> ProbabilityTrace:
         """Escape-chain estimate of P(symbol | history); does not mutate the model."""
@@ -296,12 +304,18 @@ class PpmModel:
         return ProbabilityTrace((*steps, TraceStep(-1, SYMBOL, Fraction(1, self.alphabet_size))))
 
     def snapshot(self) -> "PpmModel":
-        """Frozen deep copy, safe for shared concurrent scoring. Frozen models return themselves."""
+        """Frozen view of the current state, safe for shared concurrent scoring.
+
+        It shares this model's table until this model trains again: ``train``
+        then copies the table before its first write, so the snapshot never
+        changes. Frozen models return themselves.
+        """
         if self._frozen:
             return self
         clone = PpmModel(self.max_order, self.alphabet_size)
-        clone._table = {ctx: stats.copy() for ctx, stats in self._table.items()}
+        clone._table = self._table
         clone._frozen = True
+        self._shared = True
         return clone
 
     def overlay(self) -> "ModelOverlay":
@@ -402,14 +416,6 @@ class ModelOverlay:
         except ValueError:
             return None
         return self._local.get(ctx) or self.base._table.get(ctx)
-
-    def fetch(self, ctx: bytes | Context) -> ContextStats:
-        """Stats of the key-sequence context `ctx`, copied into the overlay on first touch."""
-        stats = self._local.get(ctx)
-        if stats is None:
-            stats = self.base._table.get(ctx)
-            stats = self._local[ctx] = ContextStats() if stats is None else stats.copy()
-        return stats
 
     def update(self, history: Sequence[int], symbol: int) -> None:
         seq = self.base._window(history, symbol)

@@ -10,7 +10,7 @@ the English side. Everything else round-trips through a 4-byte escape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ARABIC_BLOCK_FIRST = 0x0600
 ARABIC_BLOCK_LAST = 0x067F
@@ -89,8 +89,7 @@ def invert_transform(data: bytes, transform_id: str) -> str:
     raise ValueError(f"unknown transform {transform_id!r}")
 
 
-@dataclass(frozen=True)
-class PreparedText:
+class PreparedText(NamedTuple):
     """A text together with its transform image and length accounting."""
 
     original: str

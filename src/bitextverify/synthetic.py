@@ -21,7 +21,7 @@ Everything is driven by a seeded RNG, so a given (seed, size) is bit-stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import SentencePair
 from .metrics import SATISFACTORY, UNSATISFACTORY
@@ -33,8 +33,7 @@ _ARABIC_LETTERS = "ابتجحدرزسشصطعفقكلمنهوي"
 DISTORTIONS = ("truncated", "duplicated", "swapped", "padded", "flattened")
 
 
-@dataclass(frozen=True)
-class SyntheticCorpus:
+class SyntheticCorpus(NamedTuple):
     pairs: list[SentencePair]
     priming_a: str  # newline-delimited priming text, Arabic side
     priming_e: str

@@ -262,15 +262,18 @@ class TestFilter:
         assert report["counts"]["accepted"] == 10
 
     def test_serial_run_skips_multiprocessing(self, tmp_path, corpus_tsv):
-        """Importing the CLI and a --jobs 1 filter never import multiprocessing.
-        Runs in a fresh interpreter: the test runner may have imported it here."""
+        """Importing the CLI and a --jobs 1 filter never import multiprocessing,
+        nor dataclasses and the inspect module it pulls in (records are
+        NamedTuples). Runs in a fresh interpreter: the test runner may have
+        imported them here."""
         out_dir = tmp_path / "out"
         script = (
             "import sys\n"
+            "def unused(): return [m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules]\n"
             "from bitextverify.cli import main\n"
-            "assert 'multiprocessing' not in sys.modules, 'imported by the CLI'\n"
+            "assert not unused(), f'{unused()} imported by the CLI'\n"
             f"assert main(['filter', '--pairs', {str(corpus_tsv)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n"
-            "assert 'multiprocessing' not in sys.modules, 'imported by a serial filter'\n"
+            "assert not unused(), f'{unused()} imported by a serial filter'\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -224,6 +224,44 @@ class TestSnapshot:
         assert snap.stats(()).total == 3
         assert model.stats(()).total == 6
 
+    @pytest.mark.parametrize("alphabet", [16, 1000])
+    def test_snapshot_survives_later_training(self, alphabet):
+        """A snapshot shares its source's table; the source's next train copies
+        it first, so the snapshot's bytes and hash never change, also when a
+        train call fails on a symbol outside the alphabet."""
+        model = PpmModel(3, alphabet)
+        model.train([1, 2, 3, 1, 2, 4])
+        snap = model.snapshot()
+        before, hashed = snap.dumps(), snap.config_hash()
+        with pytest.raises(ValueError, match="outside alphabet"):
+            model.train([1, 2, alphabet])
+        assert snap.dumps() == before
+        model.train([2, 3, 5, 2, 3])
+        model.train([5, 5, 1])
+        assert snap.dumps() == before
+        assert PpmModel.loads(before).config_hash() == hashed == snap.config_hash()
+        assert model.stats(()).total == 14 and snap.stats(()).total == 6
+
+    @pytest.mark.parametrize("alphabet", [16, 1000])
+    def test_later_snapshot_matches_a_fresh_model(self, alphabet):
+        texts = [[1, 2, 3, 1, 2, 4], [2, 3, 5, 2, 3], [5, 5, 1, 2]]
+        model = PpmModel(3, alphabet)
+        model.train(texts[0])
+        first = model.snapshot()
+        first_dump = first.dumps()
+        for text in texts[1:]:
+            model.train(text)
+        second = model.snapshot()
+        fresh = PpmModel(3, alphabet)
+        for text in texts:
+            fresh.train(text)
+        assert second == fresh
+        assert second.dumps() == fresh.dumps()
+        assert second.config_hash() == fresh.config_hash()
+        assert first.dumps() == first_dump
+        model.train(texts[0])
+        assert second.dumps() == fresh.dumps()
+
     def test_overlay_never_touches_base(self):
         model = PpmModel(2, 256)
         model.train(b"abcabc")
