@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import ROUND_HALF_UP, Decimal, localcontext
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -38,19 +36,22 @@ DEFAULT_GRID = "1.25:3.50:0.25"
 
 
 def fmt_pct(value, places: int = 2) -> str:
-    """Decimal half-up rounding, so 60.145 prints as 60.15.
+    """Half-up rounding of an exact decimal value, so 60.145 prints as 60.15.
 
-    Exact rationals (as reported by evaluate) are converted without passing
-    through binary floating point.
+    A float counts as the decimal its repr() shows. An exact rational (as
+    reported by evaluate) is rounded without passing through binary floating
+    point. Integer arithmetic throughout, so printing imports neither decimal
+    nor fractions.
     """
-    quantum = Decimal(1).scaleb(-places)
-    if isinstance(value, Fraction):
-        with localcontext() as ctx:
-            ctx.prec = 50
-            decimal_value = Decimal(value.numerator) / Decimal(value.denominator)
+    if isinstance(value, float):
+        digits, _, exp = repr(value).partition("e")
+        whole, _, frac = digits.partition(".")
+        shift = int(exp or 0) - len(frac)  # value == int(whole + frac) * 10**shift
+        num, den = int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
     else:
-        decimal_value = Decimal(repr(float(value)))
-    return str(decimal_value.quantize(quantum, rounding=ROUND_HALF_UP))
+        num, den = value.numerator, value.denominator
+    text = str((2 * abs(num) * 10**places + den) // (2 * den)).rjust(places + 1, "0")
+    return ("-" if num < 0 else "") + (f"{text[:-places]}.{text[-places:]}" if places else text)
 
 
 def parse_grid(spec: str) -> list[float]:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from array import array
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .metrics import (
     METRIC_BOTH,
@@ -22,6 +22,9 @@ from .metrics import (
 )
 from .ppm import PpmModel
 from .preprocess import ARABIC_NUMERIC
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LABELS = (SATISFACTORY, UNSATISFACTORY)
 UNCATEGORIZED = "uncategorized"
@@ -129,32 +132,58 @@ def usable_cores() -> int:
 
 
 def pool_size(jobs: int, n_tasks: int, cores: int) -> int:
-    """Worker processes for `jobs` requested over `n_tasks` distinct sides to
-    score: at most one per usable core and one per task, and 1 (no pool) when
+    """Scoring processes for `jobs` requested over `n_tasks` distinct sides to
+    score: at most one per usable core and one per task, and 1 (no child) when
     there is nothing to score."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return max(1, min(jobs, cores, n_tasks))
 
 
-_SNAPSHOTS: tuple = ()
+def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> list[float]:
+    """Code length of each (side, prepared bytes) task, side 0 Arabic, 1 English,
+    over this process and workers - 1 forked children.
 
-
-def _init_worker(snap_a, snap_e):
-    """Keep the two frozen snapshots for this worker process.
-
-    Under ``fork`` the worker inherits the parent's objects with no copy,
-    under ``spawn``/``forkserver`` they are pickled once per worker. Either
-    way nothing is rebuilt here.
+    Child w scores tasks[w::workers] with the snapshots it inherited and writes
+    the floats to a pipe as raw doubles, which is float-exact; this process
+    scores tasks[0::workers] meanwhile. A share whose child replies short or
+    exits non-zero is scored again here, so its error is raised here as itself.
+    Every child is reaped and every pipe closed, also when this process raises.
     """
-    global _SNAPSHOTS
-    _SNAPSHOTS = (snap_a, snap_e)
 
+    def share_bits(w: int) -> list[float]:
+        return [side_bits(snapshots[side], data) for side, data in tasks[w::workers]]
 
-def _bits_in_worker(task: tuple[int, bytes]) -> float:
-    """Code length of one task: (side, prepared bytes), side 0 Arabic, 1 English."""
-    side, data = task
-    return side_bits(_SNAPSHOTS[side], data)
+    bits = [0.0] * len(tasks)
+    pipes, pids = [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                if (pid := os.fork()) == 0:  # the child never returns into the caller
+                    try:
+                        for pipe in pipes:  # else a write to a closed reader blocks, not fails
+                            pipe.close()
+                        with open(write, "wb", closefd=False) as pipe:
+                            pipe.write(array("d", share_bits(w)))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        bits[0::workers] = share_bits(0)
+        replies = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for w, reply, status in zip(range(1, workers), replies, statuses):
+        if status or len(reply) != 8 * len(bits[w::workers]):
+            reply = share_bits(w)
+        bits[w::workers] = array("d", reply)
+    return bits
 
 
 def score_pairs(
@@ -174,12 +203,10 @@ def score_pairs(
 
     Every pair is first checked for an empty side (Arabic first) and both
     sides are prepared; the distinct (side, bytes) tasks are kept in
-    first-seen order, for this call only and at most two per pair. With
-    jobs > 1 the tasks fan out over at most pool_size() worker processes,
-    which hold the two frozen snapshots (inherited under ``fork``, pickled
-    once per worker under ``spawn`` and ``forkserver``), receive (side,
-    bytes) and reply with a float. The PairScores are built here around the
-    caller's own pairs, so both paths give identical results.
+    first-seen order, for this call only and at most two per pair, and split
+    over pool_size() processes by _score_forked, one where os.fork does not
+    exist. The PairScores are built here around the caller's own pairs, so
+    every path gives identical results.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
@@ -194,15 +221,8 @@ def score_pairs(
         task_a = tasks.setdefault((0, prep_a.data), len(tasks))
         task_e = tasks.setdefault((1, prep_e.data), len(tasks))
         plan.append((prep_a.char_length, prep_e.char_length, task_a, task_e))
-    workers = pool_size(jobs, len(tasks), usable_cores())
-    snapshots = (model_a.snapshot(), model_e.snapshot())
-    if workers > 1:
-        import multiprocessing  # only here: the serial path and the CLI's import skip it
-
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=snapshots) as pool:
-            bits = pool.map(_bits_in_worker, tasks, chunksize=64)
-    else:
-        bits = [side_bits(snapshots[side], data) for side, data in tasks]
+    workers = pool_size(jobs, len(tasks), usable_cores() if hasattr(os, "fork") else 1)
+    bits = _score_forked((model_a.snapshot(), model_e.snapshot()), list(tasks), workers)
     results = []
     for pair, step in zip(pairs, plan):
         if isinstance(step, str):
@@ -244,6 +264,7 @@ def evaluate(
     metric's threshold; accuracies are per-class percentages and the average
     is their unweighted mean.
     """
+    from fractions import Fraction
     if len(pairs) != len(scores):
         raise ValueError(f"{len(pairs)} pairs but {len(scores)} scores")
     sat_total = sat_right = unsat_total = unsat_right = 0

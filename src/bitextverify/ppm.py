@@ -35,9 +35,11 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
@@ -61,6 +63,7 @@ def symbol_probability(c: int, total: int) -> Fraction:
     """PPMD probability (2c-1)/(2T) of a symbol seen c times in a context seen T times."""
     if c < 1 or total < c:
         raise ValueError(f"symbol_probability needs 1 <= c <= T, got c={c}, T={total}")
+    from fractions import Fraction
     return Fraction(2 * c - 1, 2 * total)
 
 
@@ -68,6 +71,7 @@ def escape_probability(t: int, total: int) -> Fraction:
     """PPMD escape probability t/(2T) of a context with t distinct following symbols."""
     if t < 1 or total < t:
         raise ValueError(f"escape_probability needs 1 <= t <= T, got t={t}, T={total}")
+    from fractions import Fraction
     return Fraction(t, 2 * total)
 
 
@@ -281,6 +285,7 @@ class PpmModel:
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; train a mutable model")
         seq = self._keys(text)
+        self._hash = None
         if self._shared:
             self._table = {ctx: stats.copy() for ctx, stats in self._table.items()}
             self._shared = False
@@ -288,6 +293,7 @@ class PpmModel:
 
     def estimate(self, history: Sequence[int], symbol: int) -> ProbabilityTrace:
         """Escape-chain estimate of P(symbol | history); does not mutate the model."""
+        from fractions import Fraction
         seq = self._window(history, symbol)
         i = len(seq) - 1
         steps = []
@@ -315,6 +321,7 @@ class PpmModel:
         clone = PpmModel(self.max_order, self.alphabet_size)
         clone._table = self._table
         clone._frozen = True
+        clone._hash = self._hash
         self._shared = True
         return clone
 
@@ -344,7 +351,7 @@ class PpmModel:
             raise ValueError("not a PPMV1 model dump")
         try:
             max_order, alphabet_size, n_contexts = struct.unpack_from(">BIQ", data, 5)
-            pos = 5 + struct.calcsize(">BIQ")
+            pos = first = 5 + struct.calcsize(">BIQ")
             model = cls(max_order, alphabet_size)
             table = model._table
             empty = table[model._keys(())]  # pre-inserted by __init__
@@ -378,6 +385,8 @@ class PpmModel:
         entry_symbols = chain.from_iterable(stats.counts for stats in table.values())
         if max(chain(chain.from_iterable(table), entry_symbols), default=0) >= alphabet_size:
             raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
+        if n_contexts and data[first] == 0:  # the empty context first: dumps() gives data back
+            model._hash = hashlib.sha256(data).digest()[:8]
         return model
 
     def save(self, path) -> None:
@@ -390,13 +399,11 @@ class PpmModel:
             return cls.loads(fh.read())
 
     def config_hash(self) -> bytes:
-        """8-byte digest over the full model state (order, alphabet, statistics)."""
-        if self._frozen and self._hash is not None:
-            return self._hash
-        digest = hashlib.sha256(self.dumps()).digest()[:8]
-        if self._frozen:
-            self._hash = digest
-        return digest
+        """8-byte digest over the full model state (order, alphabet, statistics):
+        the first 8 bytes of the SHA-256 of dumps(). Kept until the next train."""
+        if self._hash is None:
+            self._hash = hashlib.sha256(self.dumps()).digest()[:8]
+        return self._hash
 
 
 class ModelOverlay:

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitextverify import cli
 from bitextverify import corpus
@@ -34,6 +37,34 @@ def test_fmt_pct_half_up():
     assert fmt_pct(60.145) == "60.15"
     assert fmt_pct(100.0) == "100.00"
     assert fmt_pct(8.184) == "8.18"
+    assert fmt_pct(Fraction(100, 3)) == "33.33"
+    assert fmt_pct(Fraction(200, 3)) == "66.67"
+    assert fmt_pct(1e-05) == "0.00"
+    assert fmt_pct(60.145, 0) == "60"
+    assert fmt_pct(-0.125) == "-0.13"
+
+
+def _decimal_half_up(value, places):
+    """fmt_pct's rule through the decimal module: half-up on the repr of a float,
+    on the exact quotient of a rational."""
+    exact = Decimal(value.numerator) / Decimal(value.denominator) if isinstance(
+        value, Fraction) else Decimal(repr(value))
+    return str(exact.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.one_of(
+        st.floats(-1e6, 1e6).map(lambda v: v + 0.0),  # no -0.0, which prints as 0.00
+        st.integers(0, 10**5).map(lambda n: n / 1000),  # three places: ties included
+        st.builds(lambda k, n: Fraction(100 * k, n), st.integers(0, 500), st.integers(1, 500)),
+    ),
+    places=st.integers(0, 4),
+)
+def test_fmt_pct_matches_decimal_rounding(value, places):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert fmt_pct(value, places) == _decimal_half_up(value, places)
 
 
 def test_parse_grid_range_and_list():
@@ -264,12 +295,14 @@ class TestFilter:
     def test_serial_run_skips_multiprocessing(self, tmp_path, corpus_tsv):
         """Importing the CLI and a --jobs 1 filter never import multiprocessing,
         nor dataclasses and the inspect module it pulls in (records are
-        NamedTuples). Runs in a fresh interpreter: the test runner may have
+        NamedTuples), nor fractions and decimal (only exact accuracies and their
+        printing use them). Runs in a fresh interpreter: the test runner may have
         imported them here."""
         out_dir = tmp_path / "out"
+        modules = ("multiprocessing", "dataclasses", "inspect", "fractions", "decimal")
         script = (
             "import sys\n"
-            "def unused(): return [m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules]\n"
+            f"def unused(): return [m for m in {modules!r} if m in sys.modules]\n"
             "from bitextverify.cli import main\n"
             "assert not unused(), f'{unused()} imported by the CLI'\n"
             f"assert main(['filter', '--pairs', {str(corpus_tsv)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n"

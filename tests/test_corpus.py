@@ -1,8 +1,7 @@
 import os
-import subprocess
-import sys
+import signal
 import tempfile
-import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,6 @@ from bitextverify.corpus import (
     threshold_matrix,
     usable_cores,
 )
-from bitextverify.coder import ideal_bits
 from bitextverify.metrics import (
     SATISFACTORY,
     UNSATISFACTORY,
@@ -465,22 +463,6 @@ class TestScorePairsParallel:
         assert scored[-1].error == "empty arabic side"
 
 
-class TestWorkerPath:
-    """The worker functions, called in this process; no pool is started."""
-
-    def test_worker_scores_with_the_given_snapshots(self, filter_models, monkeypatch):
-        monkeypatch.setattr(corpus, "_SNAPSHOTS", ())
-        model_a, model_e = filter_models
-        corpus._init_worker(model_a, model_e)
-        assert corpus._SNAPSHOTS[0] is model_a and corpus._SNAPSHOTS[1] is model_e
-        data_a = prepare("مرحبا بكم", ARABIC_NUMERIC).data
-        data_e = b"hello and welcome"
-        assert corpus._bits_in_worker((0, data_a)) == ideal_bits(model_a, data_a, adapt=True)
-        assert corpus._bits_in_worker((1, data_e)) == ideal_bits(model_e, data_e, adapt=True)
-        # the same bytes on the other side are scored with the other model
-        assert corpus._bits_in_worker((1, data_a)) == ideal_bits(model_e, data_a, adapt=True)
-
-
 # sides drawn from a few short texts, so most of them repeat; "" makes a pair invalid
 _SIDE = st.sampled_from(["", "abc", "ab", "a b", "مرحبا", "ab ab", "نص abc"])
 _REPEATED_PAIRS = st.lists(st.tuples(_SIDE, _SIDE), max_size=30).map(
@@ -539,52 +521,125 @@ class TestDistinctSides:
             score_pairs(pairs, model, model, jobs=jobs)
 
 
-SPAWN_SCRIPT = textwrap.dedent("""
-    import multiprocessing
-
-    import bitextverify.corpus as corpus
-    from bitextverify.corpus import SentencePair, score_pairs
-    from bitextverify.ppm import PpmModel
-
-    if __name__ == "__main__":
-        multiprocessing.set_start_method("spawn")
-        corpus.usable_cores = lambda: 2  # a pool even on one core
-        model_a = PpmModel()
-        model_a.train("مرحبا بكم في المدونة".encode("utf-8"))
-        model_e = PpmModel()
-        model_e.train(b"hello and welcome to the corpus")
-        pairs = [
-            SentencePair(str(i), "مرحبا " * (1 + i % 3), "hello there " * (1 + i % 4))
-            for i in range(36)
-        ]
-        pairs += [SentencePair("ea", "", "x"), SentencePair("ee", "نص", ""),
-                  SentencePair("eb", "", ""), SentencePair("ok", "بكم", "welcome")]
-        serial = score_pairs(pairs, model_a, model_e, jobs=1)
-        pooled = score_pairs(pairs, model_a, model_e, jobs=2)
-        assert pooled == serial, "spawn pool differs from the serial path"
-        assert sum(s.score is None for s in pooled) == 3
-        print("ok", len(pooled))
-""")
+def _time_out(signum, frame):
+    raise TimeoutError("score_pairs did not return")
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports this checkout's bitextverify."""
-    src = str(Path(corpus.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+class TestForkJoin:
+    """score_pairs over three processes (this one and two forked children) gives
+    the serial result, also when a child fails, and leaves no child or pipe behind."""
 
+    PAIRS = [
+        SentencePair(str(i), "مرحبا " * (1 + i % 3), "hello there " * (1 + i % 4))
+        for i in range(36)
+    ] + [SentencePair("ea", "", "x"), SentencePair("ee", "نص", ""), SentencePair("eb", "", ""),
+         SentencePair("ok", "بكم", "welcome"), SentencePair("same", "abc", "abc")]
 
-def test_spawn_pool_matches_serial(tmp_path):
-    """Workers that unpickle the snapshots (spawn, as on macOS) score like the
-    serial path. Runs in a subprocess so this process keeps its start method."""
-    script = tmp_path / "spawn_check.py"
-    script.write_text(SPAWN_SCRIPT, encoding="utf-8")
-    proc = _run_python(str(script))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok", "40"]
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 3)  # children even on one core
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids of the children forked through os.fork during the test."""
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield pids
+        for pid in pids:  # after a failure, leave no child behind
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+
+    @settings(max_examples=15, deadline=None)
+    @given(pairs=_REPEATED_PAIRS)
+    def test_three_processes_match_serial(self, filter_models, pairs):
+        model_a, model_e = filter_models
+        assert score_pairs(pairs, model_a, model_e, jobs=3) == score_pairs(
+            pairs, model_a, model_e, jobs=1
+        )
+
+    def test_fixed_corpus_forks_two_children(self, filter_models, forks):
+        model_a, model_e = filter_models
+        serial = score_pairs(self.PAIRS, model_a, model_e, jobs=1)
+        assert forks == []
+        assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
+        assert len(forks) == 2
+        assert sum(s.score is None for s in serial) == 3
+
+    def test_serial_where_fork_is_missing(self, filter_models, monkeypatch):
+        model_a, model_e = filter_models
+        serial = score_pairs(self.PAIRS, model_a, model_e, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_child_share_is_scored_here(self, filter_models, monkeypatch, forks, failure):
+        """A child that raises (exits 1) or exits 0 before it replies: the parent
+        scores that share itself, with the same floats."""
+        model_a, model_e = filter_models
+        serial = score_pairs(self.PAIRS, model_a, model_e, jobs=1)
+        parent, real_bits = os.getpid(), corpus.side_bits
+
+        def side_bits(model, data):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(0)
+                raise RuntimeError("child share fails")
+            return real_bits(model, data)
+
+        monkeypatch.setattr(corpus, "side_bits", side_bits)
+        assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("where", ["parent", "everywhere"])
+    @pytest.mark.parametrize("n_pairs", [41, 15_000])
+    def test_raising_call_leaves_no_child_or_fd(self, filter_models, monkeypatch, forks,
+                                                where, n_pairs):
+        """15,000 pairs give each child 10,000 floats, more than a pipe holds, so
+        a child is still writing when this process stops reading."""
+        model_a, model_e = filter_models
+        parent = os.getpid()
+
+        def side_bits(model, data):
+            if where == "everywhere" or os.getpid() == parent:
+                raise ValueError("symbol 300 outside alphabet of size 256")
+            return 1.0
+
+        monkeypatch.setattr(corpus, "side_bits", side_bits)
+        pairs = [SentencePair(str(i), f"a{i}", f"e{i}") for i in range(n_pairs)]
+        fds = sorted(os.listdir("/dev/fd"))
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.alarm(60)  # a child blocked on its pipe would hang the reaping
+        try:
+            with pytest.raises(ValueError, match="outside alphabet"):
+                score_pairs(pairs, model_a, model_e, jobs=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sorted(os.listdir("/dev/fd")) == fds
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_no_deprecation_warning(self, filter_models, forks):
+        """Python 3.12+ warns when a multi-threaded process forks; no thread is started."""
+        model_a, model_e = filter_models
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scored = score_pairs(self.PAIRS, model_a, model_e, jobs=2)
+        assert scored == score_pairs(self.PAIRS, model_a, model_e, jobs=1)
+        assert len(forks) == 1
 
 
 class TestPoolSize:
@@ -615,25 +670,19 @@ class TestPoolSize:
         with pytest.raises(ValueError):
             score_pairs([SentencePair("1", "نص", "text")], model_a, model_e, jobs=0)
 
-    def test_no_pool_without_a_side_to_score(self):
-        """The pool is sized by distinct sides, not pairs: 5 pairs with an empty
-        Arabic side at jobs=2 on 2 cores score nothing, so no pool is started and
-        multiprocessing is never imported. Runs in a fresh interpreter: the test
-        runner may have imported it here."""
-        proc = _run_python("-c", textwrap.dedent("""
-            import sys
-            import bitextverify.corpus as corpus
-            from bitextverify.corpus import SentencePair, score_pairs
-            from bitextverify.ppm import PpmModel
+    def test_no_pool_without_a_side_to_score(self, monkeypatch):
+        """The processes are counted by distinct sides, not pairs: 5 pairs with an
+        empty Arabic side at jobs=2 on 2 cores score nothing, so nothing is forked."""
 
-            corpus.usable_cores = lambda: 2
-            model = PpmModel().snapshot()
-            pairs = [SentencePair(str(i), "", "english side") for i in range(5)]
-            scored = score_pairs(pairs, model, model, jobs=2)
-            assert [s.error for s in scored] == ["empty arabic side"] * 5, scored
-            assert "multiprocessing" not in sys.modules, "a pool was started"
-        """))
-        assert proc.returncode == 0, proc.stderr
+        def fork():
+            raise AssertionError("a child was forked")
+
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        model = PpmModel().snapshot()
+        pairs = [SentencePair(str(i), "", "english side") for i in range(5)]
+        scored = score_pairs(pairs, model, model, jobs=2)
+        assert [s.error for s in scored] == ["empty arabic side"] * 5, scored
 
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1
