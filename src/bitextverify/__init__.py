@@ -32,8 +32,6 @@ from .ppm import (
     FrozenModelError,
     ModelOverlay,
     PpmModel,
-    ProbabilityTrace,
-    TraceStep,
     escape_probability,
     symbol_probability,
 )

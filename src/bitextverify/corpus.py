@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import warnings
 from array import array
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -148,7 +149,8 @@ def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> li
     the floats to a pipe as raw doubles, which is float-exact; this process
     scores tasks[0::workers] meanwhile. A share whose child replies short or
     exits non-zero is scored again here, so its error is raised here as itself.
-    Every child is reaped and every pipe closed, also when this process raises.
+    Every child is reaped and every pipe closed; when this process raises, the
+    children are killed first instead of waited for.
     """
 
     def share_bits(w: int) -> list[float]:
@@ -175,6 +177,10 @@ def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> li
             pids.append(pid)
         bits[0::workers] = share_bits(0)
         replies = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:  # their floats would be thrown away: stop them now
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pipe in pipes:
             pipe.close()

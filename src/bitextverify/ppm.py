@@ -9,12 +9,14 @@ distribution over the whole alphabet.
 The estimator is PPMD: in a context seen T times, a symbol seen c times gets
 probability (2c - 1) / (2T) and the escape event gets t / (2T), where t is the
 number of distinct symbols seen in that context. These exhaust the probability
-mass exactly, and the model layer works in exact rationals; floating point
-enters only when a trace is summed into bits.
+mass exactly. ``symbol_probability`` and ``escape_probability`` give them as
+exact rationals; the coders work in their integer numerators and
+denominators, and floating point enters only when code lengths are summed.
 
 No exclusion sets are applied, counts are never rescaled, and a context that
 has never been seen costs nothing to skip (a deterministic escape with
-probability 1), so every estimate is reproducible from the printed statistics.
+probability 1), so every code length is reproducible from the printed
+statistics.
 
 Each text is converted once to its key sequence, ``bytes`` when the alphabet
 fits in a byte and a tuple otherwise; that is also where its symbols are
@@ -36,7 +38,7 @@ import hashlib
 import math
 import struct
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -47,10 +49,6 @@ DEFAULT_ALPHABET_SIZE = 256
 _MAGIC = b"PPMV1"
 _ENTRY = struct.Struct(">IQ")  # one (symbol, count) entry of a dumped context
 _pack_entry = _ENTRY.pack
-
-SYMBOL = "symbol"
-ESCAPE = "escape"
-DETERMINISTIC_ESCAPE = "deterministic-escape"
 
 Context = tuple[int, ...]
 
@@ -102,27 +100,6 @@ class ContextStats:
 
     def __repr__(self) -> str:
         return f"ContextStats(counts={self.counts!r}, total={self.total})"
-
-
-class TraceStep(NamedTuple):
-    order: int
-    kind: str  # SYMBOL, ESCAPE or DETERMINISTIC_ESCAPE
-    probability: Fraction
-
-
-class ProbabilityTrace(NamedTuple):
-    """The escape chain used to code one symbol, ending in exactly one symbol step."""
-
-    steps: tuple[TraceStep, ...]
-
-    @property
-    def total_bits(self) -> float:
-        bits = 0.0
-        for step in self.steps:
-            p = step.probability
-            if p < 1:
-                bits += math.log2(p.denominator) - math.log2(p.numerator)
-        return bits
 
 
 def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None) -> float:
@@ -247,10 +224,6 @@ class PpmModel:
         bad = next(s for s in text if not 0 <= s < alphabet)
         raise ValueError(f"symbol {bad!r} outside alphabet of size {alphabet}")
 
-    def _window(self, history: Sequence[int], symbol: int) -> bytes | Context:
-        """Key sequence of the last max_order symbols of `history`, then `symbol`."""
-        return self._keys([*history[max(0, len(history) - self.max_order):], symbol])
-
     @property
     def frozen(self) -> bool:
         return self._frozen
@@ -290,24 +263,6 @@ class PpmModel:
             self._table = {ctx: stats.copy() for ctx, stats in self._table.items()}
             self._shared = False
         _observe(self._table, {}, seq, 0, self.max_order)
-
-    def estimate(self, history: Sequence[int], symbol: int) -> ProbabilityTrace:
-        """Escape-chain estimate of P(symbol | history); does not mutate the model."""
-        from fractions import Fraction
-        seq = self._window(history, symbol)
-        i = len(seq) - 1
-        steps = []
-        for j in range(i + 1):
-            stats, order = self._table.get(seq[j:i]), i - j
-            if stats is None or stats.total == 0:
-                steps.append(TraceStep(order, DETERMINISTIC_ESCAPE, Fraction(1)))
-            elif symbol in stats.counts:
-                p = symbol_probability(stats.counts[symbol], stats.total)
-                return ProbabilityTrace((*steps, TraceStep(order, SYMBOL, p)))
-            else:
-                p = escape_probability(stats.distinct, stats.total)
-                steps.append(TraceStep(order, ESCAPE, p))
-        return ProbabilityTrace((*steps, TraceStep(-1, SYMBOL, Fraction(1, self.alphabet_size))))
 
     def snapshot(self) -> "PpmModel":
         """Frozen view of the current state, safe for shared concurrent scoring.
@@ -425,5 +380,5 @@ class ModelOverlay:
         return self._local.get(ctx) or self.base._table.get(ctx)
 
     def update(self, history: Sequence[int], symbol: int) -> None:
-        seq = self.base._window(history, symbol)
+        seq = self.base._keys([*history[max(0, len(history) - self.max_order):], symbol])
         _observe(self._local, self.base._table, seq, len(seq) - 1, self.max_order)

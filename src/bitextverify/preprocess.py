@@ -90,13 +90,11 @@ def invert_transform(data: bytes, transform_id: str) -> str:
 
 
 class PreparedText(NamedTuple):
-    """A text together with its transform image and length accounting."""
+    """A text's length in characters and its transform image."""
 
-    original: str
     char_length: int
     data: bytes
-    transform_id: str
 
 
 def prepare(text: str, transform_id: str = IDENTITY) -> PreparedText:
-    return PreparedText(text, char_length(text), apply_transform(text, transform_id), transform_id)
+    return PreparedText(char_length(text), apply_transform(text, transform_id))

@@ -296,17 +296,26 @@ class TestFilter:
         """Importing the CLI and a --jobs 1 filter never import multiprocessing,
         nor dataclasses and the inspect module it pulls in (records are
         NamedTuples), nor fractions and decimal (only exact accuracies and their
-        printing use them). Runs in a fresh interpreter: the test runner may have
-        imported them here."""
+        printing use them). Then, with every package module imported, each
+        top-level module the package brought in is from the standard library.
+        Runs in a fresh interpreter: the test runner may have imported them here;
+        what the bare interpreter had (site's .pth imports) is not counted."""
         out_dir = tmp_path / "out"
         modules = ("multiprocessing", "dataclasses", "inspect", "fractions", "decimal")
         script = (
             "import sys\n"
+            "bare = {m.partition('.')[0] for m in sys.modules}\n"
             f"def unused(): return [m for m in {modules!r} if m in sys.modules]\n"
             "from bitextverify.cli import main\n"
             "assert not unused(), f'{unused()} imported by the CLI'\n"
             f"assert main(['filter', '--pairs', {str(corpus_tsv)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n"
             "assert not unused(), f'{unused()} imported by a serial filter'\n"
+            "import bitextverify, importlib, pkgutil\n"
+            "for info in pkgutil.iter_modules(bitextverify.__path__):\n"
+            "    importlib.import_module(f'bitextverify.{info.name}')\n"
+            "top = {m.partition('.')[0] for m in sys.modules} - bare - {'bitextverify'}\n"
+            "outside = sorted(top - set(sys.stdlib_module_names))\n"
+            "assert not outside, f'{outside} imported from outside the standard library'\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

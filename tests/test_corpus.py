@@ -1,6 +1,7 @@
 import os
 import signal
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -601,18 +602,21 @@ class TestForkJoin:
         assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
         assert len(forks) == 2
 
-    @pytest.mark.parametrize("where", ["parent", "everywhere"])
+    @pytest.mark.parametrize("where", ["parent", "everywhere", "busy-children"])
     @pytest.mark.parametrize("n_pairs", [41, 15_000])
     def test_raising_call_leaves_no_child_or_fd(self, filter_models, monkeypatch, forks,
                                                 where, n_pairs):
         """15,000 pairs give each child 10,000 floats, more than a pipe holds, so
-        a child is still writing when this process stops reading."""
+        a child is still writing when this process stops reading. Busy children,
+        20 s on each task, are killed rather than waited for."""
         model_a, model_e = filter_models
         parent = os.getpid()
 
         def side_bits(model, data):
             if where == "everywhere" or os.getpid() == parent:
                 raise ValueError("symbol 300 outside alphabet of size 256")
+            if where == "busy-children":
+                time.sleep(20)
             return 1.0
 
         monkeypatch.setattr(corpus, "side_bits", side_bits)
@@ -620,12 +624,14 @@ class TestForkJoin:
         fds = sorted(os.listdir("/dev/fd"))
         previous = signal.signal(signal.SIGALRM, _time_out)
         signal.alarm(60)  # a child blocked on its pipe would hang the reaping
+        started = time.monotonic()
         try:
             with pytest.raises(ValueError, match="outside alphabet"):
                 score_pairs(pairs, model_a, model_e, jobs=3)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 5
         assert sorted(os.listdir("/dev/fd")) == fds
         assert len(forks) == 2
         for pid in forks:

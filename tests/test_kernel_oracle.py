@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from bitextverify.coder import EncodedBlob, _coding_hash, _RangeEncoder, encode, ideal_bits
 from bitextverify.corpus import load_tsv
 from bitextverify.metrics import score_pair
-from bitextverify.ppm import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, ContextStats, PpmModel
+from bitextverify.ppm import ContextStats, PpmModel
 from bitextverify.preprocess import arabic_to_numeric
+
+from conftest import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, _ref_walk
 
 # pair id -> (bits_a, bits_e) under the bundled models, default transform
 TABLE5_BITS = {
@@ -36,24 +38,7 @@ TABLE5_BITS = {
 
 
 # -- reference ----------------------------------------------------------------
-
-
-def _ref_walk(lookup, history, symbol, max_order, alphabet_size):
-    n = len(history)
-    k = max_order if n > max_order else n
-    while k >= 0:
-        ctx = tuple(history[n - k:n])
-        stats = lookup(ctx)
-        if stats is None or stats.total == 0:
-            yield (k, DETERMINISTIC_ESCAPE, 1, 1, None)
-        else:
-            c = stats.counts.get(symbol)
-            if c is not None:
-                yield (k, SYMBOL, 2 * c - 1, 2 * stats.total, stats)
-                return
-            yield (k, ESCAPE, len(stats.counts), 2 * stats.total, stats)
-        k -= 1
-    yield (-1, SYMBOL, 1, alphabet_size, None)
+# (the per-symbol walk, _ref_walk, is shared with test_ppm.py through conftest.py)
 
 
 class _RefOverlay:

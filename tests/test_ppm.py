@@ -7,18 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bitextverify.coder import ideal_bits
 from bitextverify.ppm import (
-    DETERMINISTIC_ESCAPE,
-    ESCAPE,
-    SYMBOL,
     ContextStats,
     FrozenModelError,
     PpmModel,
+    code_text,
     escape_probability,
     symbol_probability,
 )
 
-from conftest import char_model
+from conftest import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, _ref_walk, char_model
 
 SEEN = "س"   # seen/siin
 BA = "ب"
@@ -77,51 +76,82 @@ class TestNewModel:
             PpmModel(order, alphabet)
 
 
+class _Recorder(list):
+    """An encoder for code_text that keeps each (start, freq, total) it is charged."""
+
+    def encode(self, start, freq, total):
+        self.append((start, freq, total))
+
+
+def _charged(model, text, adapt=False):
+    recorder = _Recorder()
+    code_text(model, text, adapt, recorder)
+    return recorder
+
+
+def _steps(model, history, symbol):
+    """(order, kind, probability) of each step the reference walk takes for `symbol`."""
+    walk = _ref_walk(model.stats, history, symbol, model.max_order, model.alphabet_size)
+    return [(order, kind, Fraction(num, den)) for order, kind, num, den, _ in walk]
+
+
+def _symbol_bits(model, history, symbol):
+    """Bits a static pass charges `symbol` after `history`: a symbol's cost
+    depends only on its own context window."""
+    history = list(history)
+    return ideal_bits(model, history + [symbol], adapt=False) - ideal_bits(model, history, adapt=False)
+
+
 class TestEstimate:
+    """The PPMD escape chain of one symbol: the steps of the reference walk, and
+    the bits and (freq, total) pairs the kernel charges for them."""
+
     def test_uniform_fallback_on_empty_model(self):
         model = PpmModel(5, 256)
-        trace = model.estimate(b"whatever", ord("b"))
-        kinds = [s.kind for s in trace.steps]
-        assert kinds == [DETERMINISTIC_ESCAPE] * 6 + [SYMBOL]
-        assert trace.steps[-1].probability == Fraction(1, 256)
-        assert trace.total_bits == pytest.approx(8.0, abs=1e-12)
+        steps = _steps(model, b"whatever", ord("b"))
+        assert [kind for _, kind, _ in steps] == [DETERMINISTIC_ESCAPE] * 6 + [SYMBOL]
+        assert steps[-1][2] == Fraction(1, 256)
+        assert _symbol_bits(model, b"whatever", ord("b")) == pytest.approx(8.0, abs=1e-12)
 
     def test_escape_chain_after_training_single_symbol(self):
         # trained on "a" with d=1: order-1 context unseen (free), order-0
         # escapes at 1/2, uniform costs 8 bits
         model = PpmModel(1, 256)
         model.train(b"a")
-        trace = model.estimate(b"a", ord("b"))
-        assert [(s.order, s.kind, s.probability) for s in trace.steps] == [
+        assert _steps(model, b"a", ord("b")) == [
             (1, DETERMINISTIC_ESCAPE, Fraction(1)),
             (0, ESCAPE, Fraction(1, 2)),
             (-1, SYMBOL, Fraction(1, 256)),
         ]
-        assert trace.total_bits == pytest.approx(9.0, abs=1e-9)
+        assert _symbol_bits(model, b"a", ord("b")) == pytest.approx(9.0, abs=1e-9)
 
     def test_worked_example_highest_order_row(self):
         model, ids = char_model(WORKED_STRING, 3)
         history = [ids[c] for c in SEEN + BA + YA]
-        trace = model.estimate(history, ids[LAM])
-        assert len(trace.steps) == 1
-        assert trace.steps[0].kind == SYMBOL
-        assert trace.steps[0].probability == Fraction(3, 4)
-        assert trace.total_bits == pytest.approx(0.415, abs=5e-4)
+        assert _steps(model, history, ids[LAM]) == [(3, SYMBOL, Fraction(3, 4))]
+        assert _symbol_bits(model, history, ids[LAM]) == pytest.approx(0.415, abs=5e-4)
 
     def test_symbol_out_of_alphabet_rejected(self):
         model = PpmModel(2, 16)
-        with pytest.raises(ValueError):
-            model.estimate([], 16)
+        for adapt in (False, True):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                ideal_bits(model, [16], adapt)
 
     def test_orders_strictly_decreasing_single_terminal(self):
         model = PpmModel(3, 8)
         model.train([1, 2, 3, 1, 2, 3, 1])
+        history = [1, 2]
         for sym in range(8):
-            trace = model.estimate([1, 2], sym)
-            orders = [s.order for s in trace.steps]
+            steps = _steps(model, history, sym)
+            orders = [order for order, _, _ in steps]
             assert orders == sorted(orders, reverse=True) and len(set(orders)) == len(orders)
-            assert [s.kind for s in trace.steps].count(SYMBOL) == 1
-            assert trace.steps[-1].kind == SYMBOL
+            assert [kind for _, kind, _ in steps].count(SYMBOL) == 1
+            assert steps[-1][1] == SYMBOL
+            # the kernel charges the same chain, less its free steps
+            charged = _charged(model, history + [sym])[len(_charged(model, history)):]
+            assert [Fraction(freq, total) for _, freq, total in charged] == [
+                p for _, kind, p in steps if kind != DETERMINISTIC_ESCAPE
+            ]
 
 
 class TestUpdateAndTrain:
@@ -191,22 +221,21 @@ def test_mass_conservation_every_context(data):
         assert mass == 1
 
 
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
-def test_estimate_update_loop_is_complete_and_accurate(symbols):
+@given(st.lists(st.integers(0, 3), max_size=32), st.lists(st.integers(0, 3), min_size=1, max_size=64),
+       st.booleans())
+def test_estimate_update_loop_is_complete_and_accurate(priming, symbols, adapt):
+    """The (freq, total) pairs code_text charges, multiplied exactly, give the
+    float ideal_bits sums, with and without adaptation, on a primed snapshot."""
+    model = PpmModel(2, 4)
+    model.train(priming)
+    snap = model.snapshot()
     num_prod = den_prod = 1
-    total_float = 0.0
-    for i, sym in enumerate(symbols):
-        model = PpmModel(2, 4)  # at step i the adaptive model has counted symbols[:i]
-        model.train(symbols[:i])
-        trace = model.estimate(symbols[:i], sym)
-        total_float += trace.total_bits
-        for step in trace.steps:
-            assert step.probability > 0
-            if step.probability < 1:
-                num_prod *= step.probability.numerator
-                den_prod *= step.probability.denominator
+    for _, freq, total in _charged(snap, symbols, adapt):
+        assert 0 < freq < total
+        num_prod *= freq
+        den_prod *= total
     exact_bits = math.log2(den_prod) - math.log2(num_prod)
-    assert total_float == pytest.approx(exact_bits, abs=1e-9)
+    assert ideal_bits(snap, symbols, adapt) == pytest.approx(exact_bits, abs=1e-9)
 
 
 class TestSnapshot:

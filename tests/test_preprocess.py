@@ -104,9 +104,3 @@ def test_identity_transform_is_utf8():
 def test_unknown_transform_rejected():
     with pytest.raises(ValueError):
         apply_transform("x", "rot13")
-
-
-def test_prepared_text_records_transform_id():
-    prepared = prepare("abc", ARABIC_NUMERIC)
-    assert prepared.transform_id == ARABIC_NUMERIC
-    assert prepared.original == "abc"

@@ -9,12 +9,10 @@ import pytest
 from bitextverify.coder import EncodedBlob
 from bitextverify.corpus import EvalReport, ScoredPair, SentencePair
 from bitextverify.metrics import PairScore, ThresholdConfig
-from bitextverify.ppm import SYMBOL, ProbabilityTrace, TraceStep
 from bitextverify.preprocess import prepare
 from bitextverify.synthetic import SyntheticCorpus
 
 PAIR = SentencePair("1", "نص", "text", "Satisfactory", "news")
-STEP = TraceStep(0, SYMBOL, Fraction(1, 2))
 RECORDS = [
     PAIR,
     ScoredPair(PAIR, None, "empty arabic side"),
@@ -23,8 +21,6 @@ RECORDS = [
     ThresholdConfig(),
     prepare("text"),
     EncodedBlob(bytes(8), 2, b"\x01"),
-    STEP,
-    ProbabilityTrace((STEP,)),
     SyntheticCorpus([PAIR], "نص", "text"),
 ]
 IDS = [type(record).__name__ for record in RECORDS]
