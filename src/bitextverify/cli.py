@@ -83,9 +83,20 @@ def _train_on_lines(model: PpmModel, path, transform: str) -> tuple[int, int]:
     return n_texts, n_symbols
 
 
+# the transform each side's shipped dump data/<language>.ppm was primed with
+_DUMP_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
+
+
 def _bundled_model(language: str, transform: str, order: int, alphabet: int) -> PpmModel:
+    """The desk-corpus model of one side: its shipped dump at the default order,
+    alphabet and transform, else primed afresh from data/<language>.txt."""
+    data = resources.files("bitextverify") / "data"
+    if (order, alphabet, transform) == (DEFAULT_MAX_ORDER, DEFAULT_ALPHABET_SIZE,
+                                        _DUMP_TRANSFORMS[language]):
+        with resources.as_file(data / f"{language}.ppm") as path:
+            return PpmModel.load(path)
     model = PpmModel(order, alphabet)
-    with resources.as_file(resources.files("bitextverify") / f"data/{language}.txt") as path:
+    with resources.as_file(data / f"{language}.txt") as path:
         _train_on_lines(model, path, transform)
     return model
 

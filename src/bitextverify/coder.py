@@ -182,9 +182,9 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
             if entry is not None and entry.__class__ is not list:
                 # second touch: copy, then count the first
                 stats = base.get(ctx)
-                counts = {} if stats is None else stats.counts.copy()
+                counts = {} if stats is None else stats[1].copy()
                 counts[entry] = counts.get(entry, 0) + 1
-                entry = local[ctx] = [1 if stats is None else stats.total + 1, counts]
+                entry = local[ctx] = [1 if stats is None else stats[0] + 1, counts]
             if sym >= 0:  # below the coding order: only count the symbol
                 if entry is None:
                     local[ctx] = sym
@@ -196,9 +196,9 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
             walked.append((ctx, entry))
             if entry is None:  # first touch: code from the base table
                 stats = base.get(ctx)
-                if stats is None or not stats.total:
+                if stats is None or not stats[0]:
                     continue
-                total, counts = stats.total, stats.counts
+                total, counts = stats
             else:
                 total, counts = entry
             total *= 2

@@ -22,9 +22,11 @@ Each text is converted once to its key sequence, ``bytes`` when the alphabet
 fits in a byte and a tuple otherwise; that is also where its symbols are
 range-checked, for every caller and either adapt flag. Every context is then a
 plain slice ``seq[j:i]``, and the table is keyed by those slices, while
-``contexts()`` and ``stats()`` still speak in int tuples. ``code_text`` is the
-one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe`` is
-the counting step shared by training and ``ModelOverlay.update``.
+``contexts()`` and ``stats()`` still speak in int tuples. Each table entry is
+a ``[total, counts]`` list, the shape the coders' private overlays use too;
+``stats()`` hands out a detached ``ContextStats`` copy of one. ``code_text`` is
+the one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe``
+is the counting step shared by training and ``ModelOverlay.update``.
 
 A snapshot shares its source's table until the source trains again: the
 first ``train`` after a ``snapshot`` copies the table before it writes, so
@@ -47,6 +49,7 @@ DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
 
 _MAGIC = b"PPMV1"
+_HEADER = struct.Struct(">BIQ")  # max order, alphabet size, context count
 _ENTRY = struct.Struct(">IQ")  # one (symbol, count) entry of a dumped context
 _pack_entry = _ENTRY.pack
 
@@ -74,7 +77,10 @@ def escape_probability(t: int, total: int) -> Fraction:
 
 
 class ContextStats:
-    """Counts for one context: c per following symbol, T total, t distinct."""
+    """Counts for one context: c per following symbol, T total, t distinct.
+
+    What ``stats()`` returns: a copy, so changing it leaves the model as it was.
+    """
 
     __slots__ = ("counts", "total")
 
@@ -90,9 +96,6 @@ class ContextStats:
         self.counts[symbol] = self.counts.get(symbol, 0) + 1
         self.total += 1
 
-    def copy(self) -> "ContextStats":
-        return ContextStats(self.counts.copy(), self.total)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextStats):
             return NotImplemented
@@ -100,6 +103,11 @@ class ContextStats:
 
     def __repr__(self) -> str:
         return f"ContextStats(counts={self.counts!r}, total={self.total})"
+
+
+def _detached(entry: list | None) -> ContextStats | None:
+    """A table entry [total, counts] as a ContextStats with its own counts."""
+    return None if entry is None else ContextStats(entry[1].copy(), entry[0])
 
 
 def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None) -> float:
@@ -129,16 +137,16 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
                 if adapt:
                     local[ctx] = sym
                 stats = base.get(ctx) if escaping else None
-                if stats is None or not stats.total:
+                if stats is None or not stats[0]:
                     continue
-                total, counts = stats.total, stats.counts
+                total, counts = stats
                 c, t = counts.get(sym), len(counts)
             else:
                 if entry.__class__ is not list:  # second touch: copy, then count the first
                     stats = base.get(ctx)
-                    counts = {} if stats is None else stats.counts.copy()
+                    counts = {} if stats is None else stats[1].copy()
                     counts[entry] = counts.get(entry, 0) + 1
-                    entry = local[ctx] = [1 if stats is None else stats.total + 1, counts]
+                    entry = local[ctx] = [1 if stats is None else stats[0] + 1, counts]
                 total, counts = entry
                 c, t = counts.get(sym), len(counts)
                 counts[sym] = 1 if c is None else c + 1
@@ -178,13 +186,13 @@ def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
         sym = seq[i]
         for j in range(i, (i - max_order if i > max_order else 0) - 1, -1):
             ctx = seq[j:i]
-            stats = table.get(ctx)
-            if stats is None:
-                stats = base.get(ctx)
-                stats = table[ctx] = ContextStats() if stats is None else stats.copy()
-            counts = stats.counts
+            entry = table.get(ctx)
+            if entry is None:
+                entry = base.get(ctx)
+                entry = table[ctx] = [0, {}] if entry is None else [entry[0], entry[1].copy()]
+            counts = entry[1]
             counts[sym] = counts.get(sym, 0) + 1
-            stats.total += 1
+            entry[0] += 1
 
 
 class PpmModel:
@@ -207,7 +215,7 @@ class PpmModel:
             raise ValueError(f"alphabet_size must be an integer >= 2, got {alphabet_size!r}")
         self.max_order = max_order
         self.alphabet_size = alphabet_size
-        self._table: dict = {self._keys(()): ContextStats()}
+        self._table: dict = {self._keys(()): [0, {}]}  # context -> [total, counts]
         self._frozen = False
         self._hash: bytes | None = None
         self._shared = False  # a snapshot holds _table: copy it before the next write
@@ -229,9 +237,9 @@ class PpmModel:
         return self._frozen
 
     def stats(self, context: Sequence[int]) -> ContextStats | None:
-        """Statistics for one context, or None if it has never been seen."""
+        """A copy of one context's statistics, or None if it has never been seen."""
         try:
-            return self._table.get(self._keys(context))
+            return _detached(self._table.get(self._keys(context)))
         except ValueError:  # no context holds a symbol outside the alphabet
             return None
 
@@ -260,7 +268,8 @@ class PpmModel:
         seq = self._keys(text)
         self._hash = None
         if self._shared:
-            self._table = {ctx: stats.copy() for ctx, stats in self._table.items()}
+            table = self._table
+            self._table = {ctx: [total, counts.copy()] for ctx, (total, counts) in table.items()}
             self._shared = False
         _observe(self._table, {}, seq, 0, self.max_order)
 
@@ -289,10 +298,10 @@ class PpmModel:
     def dumps(self) -> bytes:
         """Versioned binary dump; round-trips bit-exactly through loads()."""
         out = bytearray(_MAGIC)
-        out += struct.pack(">BIQ", self.max_order, self.alphabet_size, len(self._table))
-        for ctx, stats in self._table.items():
-            out += struct.pack(f">B{len(ctx)}II", len(ctx), *ctx, len(stats.counts))
-            for s, c in stats.counts.items():
+        out += _HEADER.pack(self.max_order, self.alphabet_size, len(self._table))
+        for ctx, (_, counts) in self._table.items():
+            out += struct.pack(f">B{len(ctx)}II", len(ctx), *ctx, len(counts))
+            for s, c in counts.items():
                 out += _pack_entry(s, c)
         return bytes(out)
 
@@ -305,30 +314,38 @@ class PpmModel:
         if data[:5] != _MAGIC:
             raise ValueError("not a PPMV1 model dump")
         try:
-            max_order, alphabet_size, n_contexts = struct.unpack_from(">BIQ", data, 5)
-            pos = first = 5 + struct.calcsize(">BIQ")
+            max_order, alphabet_size, n_contexts = _HEADER.unpack_from(data, 5)
+            pos = first = 5 + _HEADER.size
             model = cls(max_order, alphabet_size)
             table = model._table
             empty = table[model._keys(())]  # pre-inserted by __init__
             key = bytes if alphabet_size <= 256 else tuple
+            # per context length: (symbols..., entry count), after the length byte
+            heads = [struct.Struct(f">{n}II") for n in range(max_order + 1)]
+            entry, entries, entry_size = _ENTRY.unpack_from, _ENTRY.iter_unpack, _ENTRY.size
             for _ in range(n_contexts):
-                (ctx_len,) = struct.unpack_from(">B", data, pos)
-                ctx = struct.unpack_from(f">{ctx_len}I", data, pos + 1)
-                (n_entries,) = struct.unpack_from(">I", data, pos + 1 + 4 * ctx_len)
-                pos += 5 + 4 * ctx_len
-                end = pos + _ENTRY.size * n_entries
-                if end > len(data):
-                    raise struct.error("entries run past the end")
-                counts = dict(_ENTRY.iter_unpack(data[pos:end]))
-                pos = end
+                ctx_len = data[pos]
                 if ctx_len > max_order:
-                    raise ValueError(f"context {ctx} is longer than max_order {max_order}")
-                if len(counts) != n_entries:
-                    raise ValueError(f"context {ctx} lists a symbol twice")
+                    raise ValueError(f"a context of length {ctx_len} exceeds max_order {max_order}")
+                head = heads[ctx_len]
+                *ctx, n_entries = head.unpack_from(data, pos + 1)
+                pos += 1 + head.size
+                end = pos + entry_size * n_entries
+                if n_entries == 1:  # most contexts of a primed model
+                    symbol, total = entry(data, pos)
+                    counts = {symbol: total}
+                else:
+                    if end > len(data):
+                        raise struct.error("entries run past the end")
+                    counts = dict(entries(data[pos:end]))
+                    if len(counts) != n_entries:
+                        raise ValueError(f"context {tuple(ctx)} lists a symbol twice")
+                    total = sum(counts.values())
+                pos = end
                 if 0 in counts.values():
-                    raise ValueError(f"context {ctx} has a count below 1")
-                table[key(ctx)] = ContextStats(counts, sum(counts.values()))
-        except struct.error as exc:
+                    raise ValueError(f"context {tuple(ctx)} has a count below 1")
+                table[key(ctx)] = [total, counts]
+        except (struct.error, IndexError) as exc:  # IndexError: no length byte left
             raise ValueError("truncated PPMV1 model dump") from exc
         except ValueError as exc:  # also a context symbol above 255 in a byte-alphabet dump
             raise ValueError(f"corrupt PPMV1 model dump: {exc}") from exc
@@ -337,8 +354,10 @@ class PpmModel:
         # a dump that lists no empty context keeps the pre-inserted one; a repeat loads one fewer
         if len(table) != n_contexts + (table[model._keys(())] is empty):
             raise ValueError("corrupt PPMV1 model dump: a context is listed twice")
-        entry_symbols = chain.from_iterable(stats.counts for stats in table.values())
-        if max(chain(chain.from_iterable(table), entry_symbols), default=0) >= alphabet_size:
+        symbols = chain.from_iterable(counts for _, counts in table.values())
+        if alphabet_size != 256:  # at 256, bytes() has range-checked every context
+            symbols = chain(chain.from_iterable(table), symbols)
+        if max(symbols, default=0) >= alphabet_size:
             raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
         if n_contexts and data[first] == 0:  # the empty context first: dumps() gives data back
             model._hash = hashlib.sha256(data).digest()[:8]
@@ -377,7 +396,7 @@ class ModelOverlay:
             ctx = self.base._keys(context)
         except ValueError:
             return None
-        return self._local.get(ctx) or self.base._table.get(ctx)
+        return _detached(self._local.get(ctx) or self.base._table.get(ctx))
 
     def update(self, history: Sequence[int], symbol: int) -> None:
         seq = self.base._keys([*history[max(0, len(history) - self.max_order):], symbol])

@@ -1,3 +1,6 @@
+import struct
+from itertools import chain
+
 import pytest
 
 from bitextverify.ppm import PpmModel
@@ -36,10 +39,57 @@ def _ref_walk(lookup, history, symbol, max_order, alphabet_size):
     yield (-1, SYMBOL, 1, alphabet_size, None)
 
 
+# The frozen PPMV1 reader that the table-of-lists PpmModel.loads replaced, kept
+# in logic as it was: the same checks, in the same order. It returns
+# (max_order, alphabet_size, [(context, total, [(symbol, count), ...])] in table
+# order, whether loads keeps the dump's own hash) or raises ValueError.
+def _ref_loads(data):
+    if data[:5] != b"PPMV1":
+        raise ValueError("not a PPMV1 model dump")
+    entry = struct.Struct(">IQ")
+    try:
+        max_order, alphabet_size, n_contexts = struct.unpack_from(">BIQ", data, 5)
+        pos = first = 5 + struct.calcsize(">BIQ")
+        PpmModel(max_order, alphabet_size)  # the constructor's parameter checks
+        key = bytes if alphabet_size <= 256 else tuple
+        empty = (0, {})
+        table = {key(()): empty}  # the constructor pre-inserts the empty context
+        for _ in range(n_contexts):
+            (ctx_len,) = struct.unpack_from(">B", data, pos)
+            ctx = struct.unpack_from(f">{ctx_len}I", data, pos + 1)
+            (n_entries,) = struct.unpack_from(">I", data, pos + 1 + 4 * ctx_len)
+            pos += 5 + 4 * ctx_len
+            end = pos + entry.size * n_entries
+            if end > len(data):
+                raise struct.error("entries run past the end")
+            counts = dict(entry.iter_unpack(data[pos:end]))
+            pos = end
+            if ctx_len > max_order:
+                raise ValueError(f"context {ctx} is longer than max_order {max_order}")
+            if len(counts) != n_entries:
+                raise ValueError(f"context {ctx} lists a symbol twice")
+            if 0 in counts.values():
+                raise ValueError(f"context {ctx} has a count below 1")
+            table[key(ctx)] = (sum(counts.values()), counts)
+    except struct.error as exc:
+        raise ValueError("truncated PPMV1 model dump") from exc
+    except ValueError as exc:
+        raise ValueError(f"corrupt PPMV1 model dump: {exc}") from exc
+    if pos != len(data):
+        raise ValueError("trailing garbage after PPMV1 model dump")
+    if len(table) != n_contexts + (table[key(())] is empty):
+        raise ValueError("corrupt PPMV1 model dump: a context is listed twice")
+    entry_symbols = chain.from_iterable(counts for _, counts in table.values())
+    if max(chain(chain.from_iterable(table), entry_symbols), default=0) >= alphabet_size:
+        raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
+    contexts = [(tuple(ctx), total, list(counts.items())) for ctx, (total, counts) in table.items()]
+    return max_order, alphabet_size, contexts, bool(n_contexts and data[first] == 0)
+
+
 @pytest.fixture(scope="session")
 def bundled_models():
-    """Snapshots of the default desk-corpus models, trained once per session by
-    the CLI's own priming path."""
+    """Snapshots of the default desk-corpus models, loaded once per session by
+    the CLI's own path (the shipped dumps at these parameters)."""
     from bitextverify.cli import _bundled_model
     from bitextverify.ppm import DEFAULT_ALPHABET_SIZE, DEFAULT_MAX_ORDER
     from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY

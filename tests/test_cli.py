@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fnmatch import fnmatchcase
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,22 @@ from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 AR_LINE = "ذهب رجل الى السوق ليشتري الخبز والفاكهة."
 EN_LINE = "A man went to the market to buy bread and fruit."
 GOLDEN = Path(__file__).parent / "data" / "filter_golden"
+PACKAGE_DATA = Path(cli.__file__).parent / "data"
+# (language, the transform its shipped dump was primed with, hash of that dump)
+BUNDLED = (
+    ("arabic", ARABIC_NUMERIC, "3904117a500a0e60"),
+    ("english", IDENTITY, "c17e2503c48e1d54"),
+)
+REGENERATE = (
+    "bitextverify train --input src/bitextverify/data/arabic.txt --transform arabic-numeric"
+    " --out src/bitextverify/data/arabic.ppm",
+    "bitextverify train --input src/bitextverify/data/english.txt"
+    " --out src/bitextverify/data/english.ppm",
+)
+
+
+def _refuse_training(self, text):
+    raise AssertionError("a bundled model at the default parameters must load, not prime")
 
 
 @pytest.fixture
@@ -118,14 +137,71 @@ class TestTrain:
         assert "trained 2 texts" in capsys.readouterr().out
 
 
+def _primed(language, transform, order=5):
+    model = PpmModel(order, 256)
+    cli._train_on_lines(model, PACKAGE_DATA / f"{language}.txt", transform)
+    return model
+
+
 class TestModelLoading:
     def test_bundled_model_hashes(self):
-        for language, transform, digest in (
-            ("arabic", ARABIC_NUMERIC, "3904117a500a0e60"),
-            ("english", IDENTITY, "c17e2503c48e1d54"),
-        ):
+        for language, transform, digest in BUNDLED:
             model = cli._bundled_model(language, transform, 5, 256)
             assert model.config_hash().hex() == digest
+
+    def test_shipped_dumps_equal_a_fresh_priming(self):
+        stale = "data/*.ppm no longer match data/*.txt; regenerate both with\n  " + "\n  ".join(
+            REGENERATE)
+        for language, transform, digest in BUNDLED:
+            model = _primed(language, transform)
+            shipped = (PACKAGE_DATA / f"{language}.ppm").read_bytes()
+            assert model.dumps() == shipped, stale
+            assert model.config_hash().hex() == digest, stale
+            assert hashlib.sha256(shipped).hexdigest()[:16] == digest, stale
+
+    def test_default_filter_never_primes(self, tmp_path, corpus_tsv, monkeypatch):
+        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        out = tmp_path / "out"
+        assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out)]) == 0
+        models = json.loads((out / "report.json").read_text(encoding="utf-8"))["models"]
+        assert models == {language: {"id": f"bundled:{language}", "hash": digest}
+                          for language, _, digest in BUNDLED}
+
+    @pytest.mark.parametrize("flags, order, transform", [
+        (["--order", "3"], 3, ARABIC_NUMERIC),
+        (["--transform", IDENTITY], 5, IDENTITY),
+    ])
+    def test_other_parameters_still_prime(self, tmp_path, corpus_tsv, flags, order, transform):
+        out = tmp_path / "out"
+        assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out), *flags]) == 0
+        models = json.loads((out / "report.json").read_text(encoding="utf-8"))["models"]
+        arabic, english = _primed("arabic", transform, order), _primed("english", IDENTITY, order)
+        assert models["arabic"]["hash"] == arabic.config_hash().hex() != BUNDLED[0][2]
+        assert models["english"]["hash"] == english.config_hash().hex()
+
+    def test_missing_dump_is_io_error(self, tmp_path, corpus_tsv, monkeypatch, capsys):
+        """No fallback: a default run without its shipped dump fails, it does not prime."""
+        package = tmp_path / "package"
+        (package / "data").mkdir(parents=True)
+        for name in ("arabic.txt", "english.txt", "english.ppm"):
+            shutil.copy(PACKAGE_DATA / name, package / "data" / name)
+        monkeypatch.setattr(cli.resources, "files", lambda _: package)
+        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        args = ["filter", "--pairs", str(corpus_tsv), "--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_IO
+        assert "arabic.ppm" in capsys.readouterr().err
+
+    def test_every_data_file_is_package_data(self):
+        """Each file under data/ matches a [tool.setuptools.package-data] pattern,
+        so a wheel ships it (read as text: 3.10 has no tomllib)."""
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        lines = pyproject.read_text(encoding="utf-8").splitlines()
+        section = lines[lines.index("[tool.setuptools.package-data]") + 1:]
+        line = next(line for line in section if line.startswith("bitextverify ="))
+        patterns = json.loads(line.partition("=")[2])
+        files = [f"data/{path.name}" for path in PACKAGE_DATA.iterdir()]
+        assert {f"data/{lang}.{ext}" for lang, *_ in BUNDLED for ext in ("ppm", "txt")} <= set(files)
+        assert [f for f in files if not any(fnmatchcase(f, p) for p in patterns)] == []
 
     def test_model_file_on_one_side_bundled_on_the_other(self, tmp_path):
         path = tmp_path / "a.ppm"

@@ -56,10 +56,8 @@ class _RefOverlay:
         for j in range(n + 1, start, -1):
             ctx = tuple(history[j - 1:n]) if j <= n else ()
             stats = self.local.get(ctx)
-            if stats is None:
-                base_stats = self.base.stats(ctx)
-                stats = base_stats.copy() if base_stats is not None else ContextStats()
-                self.local[ctx] = stats
+            if stats is None:  # stats() returns a copy: counting in it leaves the model as it was
+                stats = self.local[ctx] = self.base.stats(ctx) or ContextStats()
             stats.observe(symbol)
 
 

@@ -17,7 +17,7 @@ from bitextverify.ppm import (
     symbol_probability,
 )
 
-from conftest import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, _ref_walk, char_model
+from conftest import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, _ref_loads, _ref_walk, char_model
 
 SEEN = "س"   # seen/siin
 BA = "ب"
@@ -304,6 +304,27 @@ class TestSnapshot:
         assert overlay.stats((ord("x"),)) is not None
         assert snap.stats((ord("x"),)) is None
 
+    @pytest.mark.parametrize("alphabet", [256, 1000])
+    def test_stats_is_a_detached_copy(self, alphabet):
+        """Changing what stats() returns changes neither the snapshot nor its
+        source, and leaves no stale cached hash behind."""
+        model = PpmModel(2, alphabet)
+        model.train([1, 2, 3, 1, 2])
+        snap = model.snapshot()
+        before, hashed = snap.dumps(), snap.config_hash()
+        for context in ((), (1,)):
+            stats = snap.stats(context)
+            stats.observe(120)
+            stats.counts[2] = 99
+            stats.total = 0
+            assert stats != snap.stats(context)
+        overlay = snap.overlay()
+        overlay.update([1], 2)
+        overlay.stats((1,)).observe(7)
+        assert snap.dumps() == before and model.dumps() == before
+        assert snap.config_hash() == hashed == _sha8(snap.dumps())
+        assert snap.stats((1,)) == ContextStats({2: 2}, 2)
+
     def test_snapshot_of_snapshot_is_same_object(self):
         snap = PpmModel(1, 4).snapshot()
         assert snap.snapshot() is snap
@@ -366,6 +387,7 @@ class TestSerialization:
         pytest.param(5, 256, [((), [(300, 1)])], id="entry-symbol-outside"),
         pytest.param(5, 256, [((), [(1, 1), (2, 0)])], id="count-below-one"),
         pytest.param(5, 256, [((), [(300, 0)])], id="symbol-300-count-0"),
+        pytest.param(5, 256, [((), [(1, 1)]), ((1,), [(2, 0)])], id="only-entry-count-0"),
         pytest.param(5, 256, [((), [(1, 1), (1, 2)])], id="symbol-twice"),
         pytest.param(5, 256, [((), [(1, 1)]), ((1,), [(2, 1)]), ((1,), [(2, 1)])], id="context-twice"),
         pytest.param(5, 256, [((), [(1, 1)]), ((), [(1, 1)])], id="empty-context-twice"),
@@ -431,6 +453,48 @@ def test_loaded_hash_is_the_hash_of_its_dump(order, alphabet, contexts, entries,
     model.train([0, 1, 0, 1])
     assert model.config_hash() == _sha8(model.dumps()) != snap.config_hash()
     assert snap.config_hash() == _sha8(snap.dumps())
+
+
+_MUTATION = st.tuples(st.sampled_from(["truncate", "flip", "overwrite"]),
+                      st.integers(0, 1 << 16), st.integers(0, 255))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    alphabet=st.sampled_from([4, 256, 1000]),
+    texts=st.lists(st.lists(st.integers(0, 999), max_size=8), max_size=3),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+)
+def test_loads_matches_the_frozen_reader_on_damaged_dumps(order, alphabet, texts, mutations):
+    """Truncations, bit flips and byte overwrites of a small dump either load
+    into the contexts the frozen reader gives, in its order, with its totals
+    and counts, or make both readers raise ValueError."""
+    model = PpmModel(order, alphabet)
+    for text in texts:
+        model.train([s % alphabet for s in text])
+    data = bytearray(model.dumps())
+    for kind, where, value in mutations:
+        at = where % len(data)
+        if kind == "truncate":
+            del data[at:]
+            if not data:
+                break
+        elif kind == "flip":
+            data[at] ^= 1 << value % 8
+        else:
+            data[at] = value
+    data = bytes(data)
+    try:
+        expected = _ref_loads(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            PpmModel.loads(data)
+        return
+    loaded = PpmModel.loads(data)
+    contexts = [(tuple(ctx), total, list(counts.items()))
+                for ctx, (total, counts) in loaded._table.items()]
+    assert (loaded.max_order, loaded.alphabet_size, contexts, loaded._hash is not None) == expected
 
 
 def test_context_stats_equality_ignores_insertion_order():
