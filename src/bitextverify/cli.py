@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .coder import CodecError
 from .corpus import (
@@ -83,6 +82,8 @@ def _train_on_lines(model: PpmModel, path, transform: str) -> tuple[int, int]:
     return n_texts, n_symbols
 
 
+# the bundled files sit next to this module: the package installs as a directory
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # the transform each side's shipped dump data/<language>.ppm was primed with
 _DUMP_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
 
@@ -90,14 +91,11 @@ _DUMP_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
 def _bundled_model(language: str, transform: str, order: int, alphabet: int) -> PpmModel:
     """The desk-corpus model of one side: its shipped dump at the default order,
     alphabet and transform, else primed afresh from data/<language>.txt."""
-    data = resources.files("bitextverify") / "data"
     if (order, alphabet, transform) == (DEFAULT_MAX_ORDER, DEFAULT_ALPHABET_SIZE,
                                         _DUMP_TRANSFORMS[language]):
-        with resources.as_file(data / f"{language}.ppm") as path:
-            return PpmModel.load(path)
+        return PpmModel.load(os.path.join(DATA_DIR, f"{language}.ppm"))
     model = PpmModel(order, alphabet)
-    with resources.as_file(data / f"{language}.txt") as path:
-        _train_on_lines(model, path, transform)
+    _train_on_lines(model, os.path.join(DATA_DIR, f"{language}.txt"), transform)
     return model
 
 
@@ -217,8 +215,7 @@ def cmd_filter(args) -> int:
     (model_a, id_a), (model_e, id_e) = _load_models(args)
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
     parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     names = ("accepted", "rejected", "invalid")
     counts, per_category = {}, {}
     for name, part in zip(names, parts):
@@ -228,7 +225,7 @@ def cmd_filter(args) -> int:
             category = item.pair.category or UNCATEGORIZED
             per_category.setdefault(category, dict.fromkeys(names, 0))[name] += 1
             rows.append(_pair_row(item.pair) + (f"\t{item.error}" if item.error else ""))
-        _write_lines(out_dir / f"{name}.tsv", rows)
+        _write_lines(os.path.join(args.out_dir, f"{name}.tsv"), rows)
     valid = counts["accepted"] + counts["rejected"]
     percentages = {name: 100.0 * counts[name] / valid if valid else 0.0 for name in names[:2]}
     report = {
@@ -243,13 +240,12 @@ def cmd_filter(args) -> int:
         },
         "transform": {"arabic": args.transform, "english": IDENTITY},
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write_lines(os.path.join(args.out_dir, "report.json"),
+                 [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)])
     print(
         f"accepted {counts['accepted']} ({fmt_pct(percentages['accepted'])}%), "
         f"rejected {counts['rejected']} ({fmt_pct(percentages['rejected'])}%), "
-        f"invalid {counts['invalid']}; outputs in {out_dir}"
+        f"invalid {counts['invalid']}; outputs in {args.out_dir}"
     )
     return EXIT_OK
 

@@ -40,7 +40,7 @@ import hashlib
 import math
 import struct
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,33 +76,18 @@ def escape_probability(t: int, total: int) -> Fraction:
     return Fraction(t, 2 * total)
 
 
-class ContextStats:
+class ContextStats(NamedTuple):
     """Counts for one context: c per following symbol, T total, t distinct.
 
-    What ``stats()`` returns: a copy, so changing it leaves the model as it was.
+    What ``stats()`` returns: a copy, so changing its counts leaves the model as it was.
     """
 
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts: dict[int, int] | None = None, total: int = 0):
-        self.counts: dict[int, int] = {} if counts is None else counts
-        self.total = total
+    counts: dict[int, int]
+    total: int
 
     @property
     def distinct(self) -> int:
         return len(self.counts)
-
-    def observe(self, symbol: int) -> None:
-        self.counts[symbol] = self.counts.get(symbol, 0) + 1
-        self.total += 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ContextStats):
-            return NotImplemented
-        return self.total == other.total and self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"ContextStats(counts={self.counts!r}, total={self.total})"
 
 
 def _detached(entry: list | None) -> ContextStats | None:
@@ -344,10 +329,14 @@ class PpmModel:
                 pos = end
                 if 0 in counts.values():
                     raise ValueError(f"context {tuple(ctx)} has a count below 1")
-                table[key(ctx)] = [total, counts]
+                try:
+                    table[key(ctx)] = [total, counts]
+                except ValueError:  # bytes() met a context symbol above 255
+                    raise ValueError(f"context {tuple(ctx)} has a symbol outside alphabet "
+                                     f"{alphabet_size}") from None
         except (struct.error, IndexError) as exc:  # IndexError: no length byte left
             raise ValueError("truncated PPMV1 model dump") from exc
-        except ValueError as exc:  # also a context symbol above 255 in a byte-alphabet dump
+        except ValueError as exc:
             raise ValueError(f"corrupt PPMV1 model dump: {exc}") from exc
         if pos != len(data):
             raise ValueError("trailing garbage after PPMV1 model dump")

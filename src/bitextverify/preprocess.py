@@ -81,14 +81,6 @@ def apply_transform(text: str, transform_id: str) -> bytes:
     raise ValueError(f"unknown transform {transform_id!r}")
 
 
-def invert_transform(data: bytes, transform_id: str) -> str:
-    if transform_id == IDENTITY:
-        return data.decode("utf-8")
-    if transform_id == ARABIC_NUMERIC:
-        return numeric_to_arabic(data)
-    raise ValueError(f"unknown transform {transform_id!r}")
-
-
 class PreparedText(NamedTuple):
     """A text's length in characters and its transform image."""
 

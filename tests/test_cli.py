@@ -181,11 +181,11 @@ class TestModelLoading:
 
     def test_missing_dump_is_io_error(self, tmp_path, corpus_tsv, monkeypatch, capsys):
         """No fallback: a default run without its shipped dump fails, it does not prime."""
-        package = tmp_path / "package"
-        (package / "data").mkdir(parents=True)
+        data = tmp_path / "data"
+        data.mkdir()
         for name in ("arabic.txt", "english.txt", "english.ppm"):
-            shutil.copy(PACKAGE_DATA / name, package / "data" / name)
-        monkeypatch.setattr(cli.resources, "files", lambda _: package)
+            shutil.copy(PACKAGE_DATA / name, data / name)
+        monkeypatch.setattr(cli, "DATA_DIR", str(data))
         monkeypatch.setattr(PpmModel, "train", _refuse_training)
         args = ["filter", "--pairs", str(corpus_tsv), "--out-dir", str(tmp_path / "out")]
         assert main(args) == EXIT_IO
@@ -372,20 +372,25 @@ class TestFilter:
         """Importing the CLI and a --jobs 1 filter never import multiprocessing,
         nor dataclasses and the inspect module it pulls in (records are
         NamedTuples), nor fractions and decimal (only exact accuracies and their
-        printing use them). Then, with every package module imported, each
-        top-level module the package brought in is from the standard library.
-        Runs in a fresh interpreter: the test runner may have imported them here;
-        what the bare interpreter had (site's .pth imports) is not counted."""
+        printing use them), nor importlib.resources, pathlib, tempfile and
+        shutil (the bundled files are found with os.path; only argparse's help
+        formatter imports shutil, once the parser is built). Then, with every
+        package module imported, each top-level module the package brought in
+        is from the standard library. Runs in a fresh interpreter without site
+        (-S): the test runner may have imported them here, and site's .pth
+        files may import them too."""
         out_dir = tmp_path / "out"
-        modules = ("multiprocessing", "dataclasses", "inspect", "fractions", "decimal")
+        modules = ("multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
+                   "importlib.resources", "pathlib", "tempfile", "shutil")
         script = (
             "import sys\n"
             "bare = {m.partition('.')[0] for m in sys.modules}\n"
-            f"def unused(): return [m for m in {modules!r} if m in sys.modules]\n"
+            f"def unused(*allowed): return [m for m in {modules!r} if m in sys.modules and m not in allowed]\n"
             "from bitextverify.cli import main\n"
             "assert not unused(), f'{unused()} imported by the CLI'\n"
             f"assert main(['filter', '--pairs', {str(corpus_tsv)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n"
-            "assert not unused(), f'{unused()} imported by a serial filter'\n"
+            # argparse's HelpFormatter imports shutil to read the terminal width
+            "assert not unused('shutil'), f'{unused(\"shutil\")} imported by a serial filter'\n"
             "import bitextverify, importlib, pkgutil\n"
             "for info in pkgutil.iter_modules(bitextverify.__path__):\n"
             "    importlib.import_module(f'bitextverify.{info.name}')\n"
@@ -396,7 +401,7 @@ class TestFilter:
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (out_dir / "report.json").exists()

@@ -55,10 +55,10 @@ class _RefOverlay:
         start = n - self.base.max_order if n > self.base.max_order else 0
         for j in range(n + 1, start, -1):
             ctx = tuple(history[j - 1:n]) if j <= n else ()
-            stats = self.local.get(ctx)
-            if stats is None:  # stats() returns a copy: counting in it leaves the model as it was
-                stats = self.local[ctx] = self.base.stats(ctx) or ContextStats()
-            stats.observe(symbol)
+            stats = self.local.get(ctx) or self.base.stats(ctx) or ContextStats({}, 0)
+            # stats() returns a copy: counting in it leaves the model as it was
+            stats.counts[symbol] = stats.counts.get(symbol, 0) + 1
+            self.local[ctx] = stats._replace(total=stats.total + 1)
 
 
 def _ref_views(model, adapt):

@@ -314,13 +314,12 @@ class TestSnapshot:
         before, hashed = snap.dumps(), snap.config_hash()
         for context in ((), (1,)):
             stats = snap.stats(context)
-            stats.observe(120)
+            stats.counts[120] = 1
             stats.counts[2] = 99
-            stats.total = 0
             assert stats != snap.stats(context)
         overlay = snap.overlay()
         overlay.update([1], 2)
-        overlay.stats((1,)).observe(7)
+        overlay.stats((1,)).counts[7] = 1
         assert snap.dumps() == before and model.dumps() == before
         assert snap.config_hash() == hashed == _sha8(snap.dumps())
         assert snap.stats((1,)) == ContextStats({2: 2}, 2)
@@ -383,6 +382,7 @@ class TestSerialization:
     @pytest.mark.parametrize("order, alphabet, contexts", [
         pytest.param(1, 256, [((), [(1, 1)]), ((1, 2, 3), [(1, 1)])], id="context-above-max-order"),
         pytest.param(2, 100, [((), [(1, 1)]), ((150,), [(1, 1)])], id="context-symbol-outside"),
+        pytest.param(2, 256, [((), [(1, 1)]), ((300,), [(1, 1)])], id="byte-context-symbol-outside"),
         pytest.param(2, 1000, [((), [(1, 1)]), ((1500,), [(1, 1)])], id="tuple-key-symbol-outside"),
         pytest.param(5, 256, [((), [(300, 1)])], id="entry-symbol-outside"),
         pytest.param(5, 256, [((), [(1, 1), (2, 0)])], id="count-below-one"),
@@ -396,6 +396,12 @@ class TestSerialization:
     def test_corrupt_dump_rejected(self, order, alphabet, contexts):
         with pytest.raises(ValueError, match="corrupt PPMV1 model dump"):
             PpmModel.loads(_dump(order, alphabet, contexts))
+
+    def test_byte_context_symbol_outside_is_named(self):
+        with pytest.raises(ValueError) as info:
+            PpmModel.loads(_dump(2, 256, [((), [(1, 1)]), ((300,), [(1, 1)])]))
+        assert str(info.value) == (
+            "corrupt PPMV1 model dump: context (300,) has a symbol outside alphabet 256")
 
     def test_entries_past_the_end_are_truncation(self):
         data = _dump(2, 256, [((), [(1, 1), (2, 1)])])

@@ -9,6 +9,7 @@ import pytest
 from bitextverify.coder import EncodedBlob
 from bitextverify.corpus import EvalReport, ScoredPair, SentencePair
 from bitextverify.metrics import PairScore, ThresholdConfig
+from bitextverify.ppm import ContextStats
 from bitextverify.preprocess import prepare
 from bitextverify.synthetic import SyntheticCorpus
 
@@ -21,6 +22,7 @@ RECORDS = [
     ThresholdConfig(),
     prepare("text"),
     EncodedBlob(bytes(8), 2, b"\x01"),
+    ContextStats({1: 2, 3: 1}, 3),
     SyntheticCorpus([PAIR], "نص", "text"),
 ]
 IDS = [type(record).__name__ for record in RECORDS]
