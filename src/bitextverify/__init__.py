@@ -30,7 +30,6 @@ from .metrics import (
 from .ppm import (
     ContextStats,
     FrozenModelError,
-    ModelOverlay,
     PpmModel,
     escape_probability,
     symbol_probability,

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 
-from .coder import CodecError
 from .corpus import (
     CorpusFormatError,
     UNCATEGORIZED,
@@ -24,7 +23,7 @@ from .corpus import (
 )
 from .metrics import METRIC_MODES, PairScore, ThresholdConfig
 from .ppm import DEFAULT_ALPHABET_SIZE, DEFAULT_MAX_ORDER, PpmModel
-from .preprocess import ARABIC_NUMERIC, IDENTITY, TRANSFORM_IDS, TransformError, apply_transform
+from .preprocess import ARABIC_NUMERIC, IDENTITY, TRANSFORM_IDS, apply_transform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,10 +157,9 @@ def cmd_train(args) -> int:
     model = PpmModel(args.order, args.alphabet)
     n_texts, n_symbols = _train_on_lines(model, args.input, args.transform)
     model.save(args.out)
-    order0 = model.stats(())
     print(
         f"trained {n_texts} texts, {n_symbols} symbols; "
-        f"order-0 total {order0.total if order0 else 0}; wrote {args.out}"
+        f"order-0 total {model.stats(()).total}; wrote {args.out}"
     )
     return EXIT_OK
 
@@ -355,7 +353,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CorpusFormatError, TransformError, CodecError, UnicodeDecodeError) as exc:
+    except (CorpusFormatError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as exc:

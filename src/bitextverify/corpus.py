@@ -66,8 +66,9 @@ def load_corpus(path, fmt: str = "tsv", english_path=None) -> list[SentencePair]
 
 def read_lines(path) -> Iterator[str]:
     r"""Lines of any UTF-8 text input, corpus or priming file: split on "\n" only, each
-    without one trailing "\r\n" or "\n". A lone "\r", U+2028 or "\x85" stays in its line."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+    without one trailing "\r\n" or "\n". A lone "\r", U+2028 or "\x85" stays in its line.
+    A byte-order mark opening the file is dropped; a U+FEFF anywhere else is text."""
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         for line in fh:
             yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
@@ -276,7 +277,7 @@ def evaluate(
     sat_total = sat_right = unsat_total = unsat_right = 0
     for pair, score in zip(pairs, scores):
         if pair.label is None:
-            raise ValueError(f"pair {pair.id!r} is unlabeled")
+            raise CorpusFormatError(f"pair {pair.id!r} is unlabeled")
         judged = verdict(score.slr, score.cr, thresholds, metric_mode)
         if pair.label == SATISFACTORY:
             sat_total += 1
@@ -285,7 +286,7 @@ def evaluate(
             unsat_total += 1
             unsat_right += judged == UNSATISFACTORY
     if sat_total == 0 or unsat_total == 0:
-        raise ValueError("evaluation needs at least one pair of each label")
+        raise CorpusFormatError("evaluation needs at least one pair of each label")
     return EvalReport(
         Fraction(100 * sat_right, sat_total), Fraction(100 * unsat_right, unsat_total)
     )

@@ -90,11 +90,6 @@ class ContextStats(NamedTuple):
         return len(self.counts)
 
 
-def _detached(entry: list | None) -> ContextStats | None:
-    """A table entry [total, counts] as a ContextStats with its own counts."""
-    return None if entry is None else ContextStats(entry[1].copy(), entry[0])
-
-
 def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None) -> float:
     """Code `text` along the PPMD escape chain; returns bits, or feeds `encoder`.
 
@@ -224,9 +219,10 @@ class PpmModel:
     def stats(self, context: Sequence[int]) -> ContextStats | None:
         """A copy of one context's statistics, or None if it has never been seen."""
         try:
-            return _detached(self._table.get(self._keys(context)))
-        except ValueError:  # no context holds a symbol outside the alphabet
+            total, counts = self._table[self._keys(context)]
+        except (KeyError, ValueError):  # ValueError: a symbol outside the alphabet
             return None
+        return ContextStats(counts.copy(), total)
 
     def contexts(self) -> Iterator[Context]:
         """All observed contexts, in first-observation order."""
@@ -275,7 +271,7 @@ class PpmModel:
         return clone
 
     def overlay(self) -> "ModelOverlay":
-        """Private copy-on-write adaptive view; reads fall through, writes stay local."""
+        """Private copy-on-write counting layer; its updates never reach this model."""
         return ModelOverlay(self)
 
     # -- serialization ------------------------------------------------------
@@ -370,23 +366,17 @@ class PpmModel:
 
 
 class ModelOverlay:
-    """Copy-on-write adaptive layer over a base model; the base is never mutated."""
+    """Copy-on-write counting layer over a base model; the base is never mutated.
 
-    __slots__ = ("base", "max_order", "alphabet_size", "_local")
+    No program path uses it: the bench's per-symbol replay times ``update``."""
+
+    __slots__ = ("base", "_local")
 
     def __init__(self, base: PpmModel):
         self.base = base
-        self.max_order = base.max_order
-        self.alphabet_size = base.alphabet_size
         self._local: dict = {}
 
-    def stats(self, context: Sequence[int]) -> ContextStats | None:
-        try:
-            ctx = self.base._keys(context)
-        except ValueError:
-            return None
-        return _detached(self._local.get(ctx) or self.base._table.get(ctx))
-
     def update(self, history: Sequence[int], symbol: int) -> None:
-        seq = self.base._keys([*history[max(0, len(history) - self.max_order):], symbol])
-        _observe(self._local, self.base._table, seq, len(seq) - 1, self.max_order)
+        d = self.base.max_order
+        seq = self.base._keys([*history[max(0, len(history) - d):], symbol])
+        _observe(self._local, self.base._table, seq, len(seq) - 1, d)

@@ -136,6 +136,16 @@ class TestTrain:
         assert main(["train", "--input", str(src), "--out", str(tmp_path / "m.ppm")]) == 0
         assert "trained 2 texts" in capsys.readouterr().out
 
+    def test_byte_order_mark_leaves_the_dump_unchanged(self, tmp_path):
+        dumps = []
+        for bom in ("", "\ufeff"):
+            src = tmp_path / "priming.txt"
+            src.write_text(bom + "line one here\nline two here\n", encoding="utf-8")
+            out = tmp_path / "m.ppm"
+            assert main(["train", "--input", str(src), "--out", str(out)]) == 0
+            dumps.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+
 
 def _primed(language, transform, order=5):
     model = PpmModel(order, 256)
@@ -275,6 +285,19 @@ class TestScore:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_aligned_byte_order_mark_scores_like_none(self, tmp_path):
+        en = tmp_path / "x.en"
+        en.write_text(EN_LINE + "\n" + EN_LINE + "\n", encoding="utf-8")
+        outs = []
+        for bom in ("", "\ufeff"):
+            ar = tmp_path / "x.ar"
+            ar.write_text(bom + AR_LINE + "\n" + AR_LINE + "\n", encoding="utf-8")
+            out = tmp_path / "s.tsv"
+            assert main(["score", "--format", "aligned", "--arabic", str(ar),
+                         "--english", str(en), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestEvaluateSweep:
@@ -476,6 +499,17 @@ class TestExitCodes:
         out_dir = tmp_path / "out"
         args = ["--pairs", str(corpus_tsv), "--model-e", str(path), "--jobs", jobs]
         assert main(["filter", *args, "--out-dir", str(out_dir)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("rows", [
+        f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\t{AR_LINE}\t{EN_LINE}\n",
+        f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\tنص\ttext\tSatisfactory\n",
+    ], ids=["unlabeled-pair", "one-label-only"])
+    def test_corpus_evaluate_cannot_use_is_format_error(self, tmp_path, capsys, command, rows):
+        path = tmp_path / "labeled.tsv"
+        path.write_text(rows, encoding="utf-8")
+        assert main([command, "--pairs", str(path)]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("input error: ")
 
     def test_invalid_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,12 +42,23 @@ class TestIdealBits:
         assert ideal_bits(snap, text, adapt=True) < ideal_bits(snap, text, adapt=False)
 
     def test_does_not_mutate_snapshot(self):
-        snap = primed_snapshot()
-        before = snap.dumps()
-        first = ideal_bits(snap, b"spain rains again", adapt=True)
-        second = ideal_bits(snap, b"spain rains again", adapt=True)
-        assert first == second
-        assert snap.dumps() == before
+        """ideal_bits, encode and decode, adapt on and off, leave the snapshot's
+        dump and hash as they were."""
+        for alphabet, extra in ((256, []), (1000, [999, 300, 999, 42])):
+            model = PpmModel(3, alphabet)
+            model.train(b"the rain in spain falls mainly on the plain")
+            model.train([999, 300, 999, 300, 7] if extra else b"spain")
+            snap = model.snapshot()
+            before, hashed = snap.dumps(), snap.config_hash()
+            text = list(b"spain rains again") + extra
+            for adapt in (True, False):
+                first = ideal_bits(snap, text, adapt=adapt)
+                assert ideal_bits(snap, text, adapt=adapt) == first
+                blob = encode(snap, text, adapt=adapt)
+                assert list(decode(snap, blob, adapt=adapt)) == text
+                assert encode(snap, text, adapt=adapt) == blob
+                assert snap.dumps() == before and model.dumps() == before
+                assert snap.config_hash() == hashed == hashlib.sha256(before).digest()[:8]
 
 
 class TestRoundTrip:

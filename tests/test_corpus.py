@@ -101,6 +101,14 @@ class TestLoadTsv:
         assert pairs[0].text_e == "foo\rbar"
         assert pairs[1].text_e == "b"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # only the one opening the file: a U+FEFF inside a field is text
+        path = tmp_path / "c.tsv"
+        path.write_bytes("\ufeff1\tأ\ta\n2\tب\tb\ufeff\n".encode("utf-8"))
+        pairs = load_tsv(path)
+        assert [p.id for p in pairs] == ["1", "2"]
+        assert pairs[1].text_e == "b\ufeff"
+
     @pytest.mark.parametrize("row", ["2\tب\tsome text\r\r\n", "2\tب\tsome text\r\t\t\n"])
     def test_field_ending_in_cr_rejected(self, tmp_path, row):
         # "\r\r\n" loses one "\r" with its terminator; the other, like an English
