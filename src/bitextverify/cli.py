@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,10 +32,12 @@ EXIT_FORMAT = 3
 EXIT_IO = 4
 
 DEFAULT_GRID = "1.25:3.50:0.25"
+# sweep evaluates len(grid)**2 threshold cells, each over the whole corpus
+MAX_GRID = 1000
 
 
-def fmt_pct(value, places: int = 2) -> str:
-    """Half-up rounding of an exact decimal value, so 60.145 prints as 60.15.
+def fmt_pct(value) -> str:
+    """Half-up rounding of an exact decimal value to two places, so 60.145 prints as 60.15.
 
     A float counts as the decimal its repr() shows. An exact rational (as
     reported by evaluate) is rounded without passing through binary floating
@@ -48,25 +51,26 @@ def fmt_pct(value, places: int = 2) -> str:
         num, den = int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
     else:
         num, den = value.numerator, value.denominator
-    text = str((2 * abs(num) * 10**places + den) // (2 * den)).rjust(places + 1, "0")
-    return ("-" if num < 0 else "") + (f"{text[:-places]}.{text[-places:]}" if places else text)
+    text = str((200 * abs(num) + den) // (2 * den)).rjust(3, "0")
+    return ("-" if num < 0 else "") + f"{text[:-2]}.{text[-2:]}"
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Grid spec: either comma-separated values or start:stop:step (inclusive)."""
+    """Grid spec: either comma-separated values or start:stop:step (inclusive) with
+    finite parts, giving 1 to MAX_GRID strictly increasing values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
-        count = int((stop - start) / step + 1e-9) + 1
+        count = int(min((stop - start) / step + 1e-9, MAX_GRID)) + 1  # MAX_GRID + 1 at most
         grid = [round(start + i * step, 10) for i in range(count)]
     else:
         grid = [float(p) for p in spec.split(",") if p]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid must be non-empty and strictly increasing, got {spec!r}")
+    if not grid or len(grid) > MAX_GRID or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be 1 to {MAX_GRID} strictly increasing values, got {spec!r}")
     return grid
 
 
@@ -87,13 +91,12 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 _DUMP_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
 
 
-def _bundled_model(language: str, transform: str, order: int, alphabet: int) -> PpmModel:
-    """The desk-corpus model of one side: its shipped dump at the default order,
-    alphabet and transform, else primed afresh from data/<language>.txt."""
-    if (order, alphabet, transform) == (DEFAULT_MAX_ORDER, DEFAULT_ALPHABET_SIZE,
-                                        _DUMP_TRANSFORMS[language]):
+def _bundled_model(language: str, transform: str, order: int) -> PpmModel:
+    """The desk-corpus model of one side: its shipped dump at the default order
+    and transform, else primed afresh from data/<language>.txt."""
+    if (order, transform) == (DEFAULT_MAX_ORDER, _DUMP_TRANSFORMS[language]):
         return PpmModel.load(os.path.join(DATA_DIR, f"{language}.ppm"))
-    model = PpmModel(order, alphabet)
+    model = PpmModel(order)
     _train_on_lines(model, os.path.join(DATA_DIR, f"{language}.txt"), transform)
     return model
 
@@ -104,8 +107,7 @@ def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
     def side(path, language: str, transform: str) -> tuple[PpmModel, str]:
         if path:
             return PpmModel.load(path).snapshot(), str(path)
-        model = _bundled_model(language, transform, args.order, args.alphabet)
-        return model.snapshot(), f"bundled:{language}"
+        return _bundled_model(language, transform, args.order).snapshot(), f"bundled:{language}"
 
     return side(args.model_a, "arabic", args.transform), side(args.model_e, "english", IDENTITY)
 
@@ -266,31 +268,6 @@ def cmd_stats(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-a", help="Arabic-side model file (default: bundled desk corpus)")
-    p.add_argument("--model-e", help="English-side model file (default: bundled desk corpus)")
-    p.add_argument("--order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="context order for bundled default models (default 5)")
-    p.add_argument("--alphabet", type=int, default=DEFAULT_ALPHABET_SIZE,
-                   help="alphabet size for bundled default models (default 256)")
-    p.add_argument("--transform", choices=TRANSFORM_IDS, default=ARABIC_NUMERIC,
-                   help="Arabic-side transform (default arabic-numeric)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scoring processes (results are order-stable)")
-
-
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pairs", help="TSV corpus: id, arabic, english[, label[, category]]")
-    p.add_argument("--format", choices=("tsv", "aligned"), default="tsv")
-    p.add_argument("--arabic", help="Arabic side of a line-aligned pair of files")
-    p.add_argument("--english", help="English side of a line-aligned pair of files")
-
-
-def _add_threshold_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-slr", type=float, default=2.5)
-    p.add_argument("--theta-cr", type=float, default=2.25)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitextverify",
@@ -307,39 +284,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=TRANSFORM_IDS, default=IDENTITY)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="score pairs to a per-pair TSV")
-    _add_corpus_args(p)
-    _add_model_args(p)
-    _add_threshold_args(p)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--pairs", help="TSV corpus: id, arabic, english[, label[, category]]")
+    shared.add_argument("--format", choices=("tsv", "aligned"), default="tsv")
+    shared.add_argument("--arabic", help="Arabic side of a line-aligned pair of files")
+    shared.add_argument("--english", help="English side of a line-aligned pair of files")
+    shared.add_argument("--model-a", help="Arabic-side model file (default: bundled desk corpus)")
+    shared.add_argument("--model-e", help="English-side model file (default: bundled desk corpus)")
+    shared.add_argument("--order", type=int, default=DEFAULT_MAX_ORDER,
+                        help="context order for bundled default models (default 5)")
+    shared.add_argument("--transform", choices=TRANSFORM_IDS, default=ARABIC_NUMERIC,
+                        help="Arabic-side transform (default arabic-numeric)")
+    shared.add_argument("--jobs", type=int, default=1,
+                        help="parallel scoring processes (results are order-stable)")
+    thresholds = argparse.ArgumentParser(add_help=False)
+    thresholds.add_argument("--theta-slr", type=float, default=2.5)
+    thresholds.add_argument("--theta-cr", type=float, default=2.25)
+
+    p = sub.add_parser("score", parents=[shared, thresholds], help="score pairs to a per-pair TSV")
     p.add_argument("--out", help="output TSV (default: stdout)")
     p.add_argument("--invalid-out", help="TSV listing unscorable pairs")
     p.add_argument("--scatter", help="also write (len_a, len_e, bits_a, bits_e, verdict) TSV")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("evaluate", help="accuracy against a labeled corpus")
-    _add_corpus_args(p)
-    _add_model_args(p)
-    _add_threshold_args(p)
+    p = sub.add_parser("evaluate", parents=[shared, thresholds],
+                       help="accuracy against a labeled corpus")
     p.add_argument("--metric", choices=METRIC_MODES, default="both")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="threshold grid of average accuracies")
-    _add_corpus_args(p)
-    _add_model_args(p)
+    p = sub.add_parser("sweep", parents=[shared], help="threshold grid of average accuracies")
     p.add_argument("--grid", default=DEFAULT_GRID,
                    help="start:stop:step or comma list (default 1.25:3.50:0.25)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("filter", help="partition a corpus into accepted/rejected/invalid")
-    _add_corpus_args(p)
-    _add_model_args(p)
-    _add_threshold_args(p)
+    p = sub.add_parser("filter", parents=[shared, thresholds],
+                       help="partition a corpus into accepted/rejected/invalid")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("stats", help="percentage of pairs with longer/costlier Arabic side")
-    _add_corpus_args(p)
-    _add_model_args(p)
+    p = sub.add_parser("stats", parents=[shared],
+                       help="percentage of pairs with longer/costlier Arabic side")
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -353,7 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CorpusFormatError, UnicodeDecodeError) as exc:
+    except CorpusFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as exc:

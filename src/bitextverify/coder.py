@@ -6,13 +6,14 @@ overlay between symbols when ``adapt`` is on. ``encode``/``decode`` prove that
 number is honest: the emitted payload is decodable back to the exact input and
 its length tracks the ideal length to within a small constant (bounded by 64
 bits across the fuzz corpus, typically under 24). ``ideal_bits`` and
-``encode`` are one pass of ``ppm.code_text``, which converts the text to its
-key sequence and range-checks every symbol first, so an out-of-alphabet symbol
-raises ValueError under either adapt flag. ``decode`` learns each symbol only
-at its coding order, so it counts the symbol in the contexts it escaped
-through once it is known, and in the shorter ones as it walks on. It counts
-in a private dict with the kernel's scheme: a context's first touch records
-the bare symbol, and only its second copies the counts.
+``encode`` are one pass of ``ppm.code_text``, which converts the text to
+``bytes`` and range-checks every symbol first, so an out-of-alphabet symbol
+raises ValueError under either adapt flag. ``decode`` returns ``bytes`` and
+keys its contexts by ``bytes`` slices, as the model does. It learns each
+symbol only at its coding order, so it counts the symbol in the contexts it
+escaped through once it is known, and in the shorter ones as it walks on. It
+counts in a private dict with the kernel's scheme: a context's first touch
+records the bare symbol, and only its second copies the counts.
 
 The coder is a 64-bit range coder with explicit carry propagation into the
 already-emitted bytes. PPMD frequencies are exact small integers (2c-1 per
@@ -154,11 +155,11 @@ def encode(model: PpmModel, text: Sequence[int], adapt: bool = True) -> EncodedB
     return EncodedBlob(config, n, enc.finish() if n else b"")
 
 
-def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[int]:
+def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> bytes:
     """Inverse of encode(). Raises CodecError unless the blob was produced
     with an identical model state and adapt flag.
 
-    Returns bytes for byte-sized alphabets, a tuple of ints otherwise.
+    Returns the decoded symbols as bytes.
     """
     if blob.config_hash != _coding_hash(model, adapt):
         raise CodecError(
@@ -167,13 +168,12 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
         )
     if blob.length < 0:
         raise CodecError("negative length")
-    key = bytes if model.alphabet_size <= 256 else tuple
-    out: bytearray | list[int] = bytearray() if key is bytes else []
+    out = bytearray()
     d, alphabet, base = model.max_order, model.alphabet_size, model._table
     local: dict = {}  # context -> [total, counts], or the one symbol it has seen
     dec = _RangeDecoder(blob.payload)
     for i in range(blob.length):
-        hist = key(out[i - d if i > d else 0:i])
+        hist = bytes(out[i - d if i > d else 0:i])
         walked = []  # contexts decoded through, longest first: (context, local entry or None)
         sym = -1
         for j in range(len(hist) + 1):
@@ -229,7 +229,7 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> Sequence[i
                     counts[sym] = counts.get(sym, 0) + 1
                     entry[0] += 1
         out.append(sym)
-    return key(out)
+    return bytes(out)
 
 
 def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True) -> float:

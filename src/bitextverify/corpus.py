@@ -67,9 +67,14 @@ def load_corpus(path, fmt: str = "tsv", english_path=None) -> list[SentencePair]
 def read_lines(path) -> Iterator[str]:
     r"""Lines of any UTF-8 text input, corpus or priming file: split on "\n" only, each
     without one trailing "\r\n" or "\n". A lone "\r", U+2028 or "\x85" stays in its line.
-    A byte-order mark opening the file is dropped; a U+FEFF anywhere else is text."""
-    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-        for line in fh:
+    A byte-order mark opening the file is dropped; a U+FEFF anywhere else is text.
+    Invalid UTF-8 raises CorpusFormatError naming the path and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 

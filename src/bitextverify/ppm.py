@@ -1,10 +1,10 @@
 """Adaptive fixed-order context modelling with PPMD probability estimation.
 
 The model keeps occurrence statistics for every context of length 0..max_order
-observed during training. Symbols are integers below ``alphabet_size``, so byte
-strings work directly as training and scoring input. Prediction backs off from
-the longest available context through escape events down to a uniform order -1
-distribution over the whole alphabet.
+observed during training. Symbols are bytes below ``alphabet_size`` (2..256),
+so byte strings work directly as training and scoring input. Prediction backs
+off from the longest available context through escape events down to a
+uniform order -1 distribution over the whole alphabet.
 
 The estimator is PPMD: in a context seen T times, a symbol seen c times gets
 probability (2c - 1) / (2T) and the escape event gets t / (2T), where t is the
@@ -18,10 +18,9 @@ has never been seen costs nothing to skip (a deterministic escape with
 probability 1), so every code length is reproducible from the printed
 statistics.
 
-Each text is converted once to its key sequence, ``bytes`` when the alphabet
-fits in a byte and a tuple otherwise; that is also where its symbols are
+Each text is converted once to ``bytes``; that is also where its symbols are
 range-checked, for every caller and either adapt flag. Every context is then a
-plain slice ``seq[j:i]``, and the table is keyed by those slices, while
+plain ``bytes`` slice ``seq[j:i]``, and the table is keyed by those slices, while
 ``contexts()`` and ``stats()`` still speak in int tuples. Each table entry is
 a ``[total, counts]`` list, the shape the coders' private overlays use too;
 ``stats()`` hands out a detached ``ContextStats`` copy of one. ``code_text`` is
@@ -52,8 +51,6 @@ _MAGIC = b"PPMV1"
 _HEADER = struct.Struct(">BIQ")  # max order, alphabet size, context count
 _ENTRY = struct.Struct(">IQ")  # one (symbol, count) entry of a dumped context
 _pack_entry = _ENTRY.pack
-
-Context = tuple[int, ...]
 
 
 class FrozenModelError(RuntimeError):
@@ -191,21 +188,21 @@ class PpmModel:
                  alphabet_size: int = DEFAULT_ALPHABET_SIZE):
         if not isinstance(max_order, int) or not 0 <= max_order <= 255:
             raise ValueError(f"max_order must be an integer in 0..255, got {max_order!r}")
-        if not isinstance(alphabet_size, int) or alphabet_size < 2:
-            raise ValueError(f"alphabet_size must be an integer >= 2, got {alphabet_size!r}")
+        if not isinstance(alphabet_size, int) or not 2 <= alphabet_size <= 256:
+            raise ValueError(f"alphabet_size must be an integer in 2..256, got {alphabet_size!r}")
         self.max_order = max_order
         self.alphabet_size = alphabet_size
-        self._table: dict = {self._keys(()): [0, {}]}  # context -> [total, counts]
+        self._table: dict = {b"": [0, {}]}  # context -> [total, counts]
         self._frozen = False
         self._hash: bytes | None = None
         self._shared = False  # a snapshot holds _table: copy it before the next write
 
-    def _keys(self, text: Sequence[int]) -> bytes | Context:
-        """`text` as a key sequence; raises ValueError on a symbol outside the alphabet."""
+    def _keys(self, text: Sequence[int]) -> bytes:
+        """`text` as bytes; raises ValueError on a symbol outside the alphabet."""
         alphabet = self.alphabet_size
         try:
-            seq = bytes(text) if alphabet <= 256 else tuple(text)
-            if alphabet == 256 or not seq or (0 <= min(seq) and max(seq) < alphabet):
+            seq = bytes(text)
+            if alphabet == 256 or not seq or max(seq) < alphabet:
                 return seq
         except ValueError:  # bytes() met a value outside 0..255
             pass
@@ -224,7 +221,7 @@ class PpmModel:
             return None
         return ContextStats(counts.copy(), total)
 
-    def contexts(self) -> Iterator[Context]:
+    def contexts(self) -> Iterator[tuple[int, ...]]:
         """All observed contexts, in first-observation order."""
         return (tuple(ctx) for ctx in self._table)
 
@@ -299,8 +296,7 @@ class PpmModel:
             pos = first = 5 + _HEADER.size
             model = cls(max_order, alphabet_size)
             table = model._table
-            empty = table[model._keys(())]  # pre-inserted by __init__
-            key = bytes if alphabet_size <= 256 else tuple
+            empty = table[b""]  # pre-inserted by __init__
             # per context length: (symbols..., entry count), after the length byte
             heads = [struct.Struct(f">{n}II") for n in range(max_order + 1)]
             entry, entries, entry_size = _ENTRY.unpack_from, _ENTRY.iter_unpack, _ENTRY.size
@@ -326,7 +322,7 @@ class PpmModel:
                 if 0 in counts.values():
                     raise ValueError(f"context {tuple(ctx)} has a count below 1")
                 try:
-                    table[key(ctx)] = [total, counts]
+                    table[bytes(ctx)] = [total, counts]
                 except ValueError:  # bytes() met a context symbol above 255
                     raise ValueError(f"context {tuple(ctx)} has a symbol outside alphabet "
                                      f"{alphabet_size}") from None
@@ -337,7 +333,7 @@ class PpmModel:
         if pos != len(data):
             raise ValueError("trailing garbage after PPMV1 model dump")
         # a dump that lists no empty context keeps the pre-inserted one; a repeat loads one fewer
-        if len(table) != n_contexts + (table[model._keys(())] is empty):
+        if len(table) != n_contexts + (table[b""] is empty):
             raise ValueError("corrupt PPMV1 model dump: a context is listed twice")
         symbols = chain.from_iterable(counts for _, counts in table.values())
         if alphabet_size != 256:  # at 256, bytes() has range-checked every context

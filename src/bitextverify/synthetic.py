@@ -31,6 +31,7 @@ _LATIN_NUCLEI = "a e i o u ai ea ou".split()
 _ARABIC_LETTERS = "ابتجحدرزسشصطعفقكلمنهوي"
 
 DISTORTIONS = ("truncated", "duplicated", "swapped", "padded", "flattened")
+VOCAB_SIZE = 240
 
 
 class SyntheticCorpus(NamedTuple):
@@ -65,9 +66,9 @@ def _build_vocab(rng: random.Random, size: int) -> tuple[list[str], list[str], l
 class BitextGenerator:
     """Renders shared token streams into sentence pairs, plus distortions."""
 
-    def __init__(self, seed: int = 0, vocab_size: int = 240):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._en, self._ar, self._weights = _build_vocab(self._rng, vocab_size)
+        self._en, self._ar, self._weights = _build_vocab(self._rng, VOCAB_SIZE)
 
     def _tokens(self, n_words: int) -> list[int]:
         return self._rng.choices(range(len(self._en)), weights=self._weights, k=n_words)

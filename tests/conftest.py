@@ -91,10 +91,10 @@ def bundled_models():
     """Snapshots of the default desk-corpus models, loaded once per session by
     the CLI's own path (the shipped dumps at these parameters)."""
     from bitextverify.cli import _bundled_model
-    from bitextverify.ppm import DEFAULT_ALPHABET_SIZE, DEFAULT_MAX_ORDER
+    from bitextverify.ppm import DEFAULT_MAX_ORDER
     from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 
     return tuple(
-        _bundled_model(lang, transform, DEFAULT_MAX_ORDER, DEFAULT_ALPHABET_SIZE).snapshot()
+        _bundled_model(lang, transform, DEFAULT_MAX_ORDER).snapshot()
         for lang, transform in (("arabic", ARABIC_NUMERIC), ("english", IDENTITY))
     )

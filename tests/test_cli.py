@@ -59,16 +59,15 @@ def test_fmt_pct_half_up():
     assert fmt_pct(Fraction(100, 3)) == "33.33"
     assert fmt_pct(Fraction(200, 3)) == "66.67"
     assert fmt_pct(1e-05) == "0.00"
-    assert fmt_pct(60.145, 0) == "60"
     assert fmt_pct(-0.125) == "-0.13"
 
 
-def _decimal_half_up(value, places):
-    """fmt_pct's rule through the decimal module: half-up on the repr of a float,
-    on the exact quotient of a rational."""
+def _decimal_half_up(value):
+    """fmt_pct's rule through the decimal module: half-up to two places on the
+    repr of a float, on the exact quotient of a rational."""
     exact = Decimal(value.numerator) / Decimal(value.denominator) if isinstance(
         value, Fraction) else Decimal(repr(value))
-    return str(exact.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+    return str(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,17 +77,19 @@ def _decimal_half_up(value, places):
         st.integers(0, 10**5).map(lambda n: n / 1000),  # three places: ties included
         st.builds(lambda k, n: Fraction(100 * k, n), st.integers(0, 500), st.integers(1, 500)),
     ),
-    places=st.integers(0, 4),
 )
-def test_fmt_pct_matches_decimal_rounding(value, places):
+def test_fmt_pct_matches_decimal_rounding(value):
     with localcontext() as ctx:
         ctx.prec = 60
-        assert fmt_pct(value, places) == _decimal_half_up(value, places)
+        assert fmt_pct(value) == _decimal_half_up(value)
 
 
 def test_parse_grid_range_and_list():
     assert parse_grid("1.25:3.50:0.25") == [1.25 + 0.25 * i for i in range(10)]
     assert parse_grid("1.0,2.0,3.5") == [1.0, 2.0, 3.5]
+    assert len(parse_grid("1:1000:1")) == cli.MAX_GRID == 1000
+    with pytest.raises(ValueError, match="1 to 1000 strictly increasing values"):
+        parse_grid("1:1001:1")
     with pytest.raises(ValueError):
         parse_grid("3:1:0.5")
     with pytest.raises(ValueError):
@@ -156,7 +157,7 @@ def _primed(language, transform, order=5):
 class TestModelLoading:
     def test_bundled_model_hashes(self):
         for language, transform, digest in BUNDLED:
-            model = cli._bundled_model(language, transform, 5, 256)
+            model = cli._bundled_model(language, transform, 5)
             assert model.config_hash().hex() == digest
 
     def test_shipped_dumps_equal_a_fresh_priming(self):
@@ -454,6 +455,30 @@ class TestStats:
         assert "news" in out and "sport" in out and "overall" in out
 
 
+class TestParser:
+    SCORING = ("score", "evaluate", "sweep", "filter", "stats")
+
+    def test_scoring_commands_share_defaults(self):
+        parser = cli.build_parser()
+        shared = {"pairs": None, "format": "tsv", "arabic": None, "english": None,
+                  "model_a": None, "model_e": None, "order": 5, "transform": ARABIC_NUMERIC,
+                  "jobs": 1}
+        for command in self.SCORING:
+            extra = ["--out-dir", "out"] if command == "filter" else []
+            args = vars(parser.parse_args([command, *extra]))
+            assert {key: args.get(key) for key in shared} == shared, command
+            if command in ("score", "evaluate", "filter"):
+                assert (args["theta_slr"], args["theta_cr"]) == (2.5, 2.25), command
+            else:
+                assert "theta_slr" not in args and "theta_cr" not in args, command
+
+    @pytest.mark.parametrize("command", SCORING)
+    def test_only_train_takes_alphabet(self, corpus_tsv, command, capsys):
+        extra = ["--out-dir", "out"] if command == "filter" else []
+        assert main([command, "--pairs", str(corpus_tsv), "--alphabet", "256", *extra]) == 2
+        assert "unrecognized arguments: --alphabet 256" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["score", "--pairs", str(tmp_path / "nope.tsv")]) == EXIT_IO
@@ -515,3 +540,40 @@ class TestExitCodes:
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"1\t\xff\xfe\tx\n")
         assert main(["score", "--pairs", str(path)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("bad", ["pairs", "arabic", "english", "priming"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, bad):
+        """The bad byte sits on line 400, past the decoder's first 8 KiB chunk."""
+        good = [f"{i}\t{AR_LINE}\t{EN_LINE}" for i in range(1, 400)]
+        files = {"pairs": good, "arabic": [AR_LINE] * 399, "english": [EN_LINE] * 399,
+                 "priming": [EN_LINE] * 399}
+        for name, lines in files.items():
+            last = b"400\tx\t\xff" if name == "pairs" else b"x\xff"
+            tail = last if name == bad else last.replace(b"\xff", b"y")
+            (tmp_path / name).write_bytes("\n".join(lines).encode("utf-8") + b"\n" + tail + b"\n")
+        assert (tmp_path / bad).stat().st_size > 8192
+        path = {name: str(tmp_path / name) for name in files}
+        argv = {
+            "pairs": ["score", "--pairs", path["pairs"]],
+            "arabic": ["score", "--format", "aligned", "--arabic", path["arabic"],
+                       "--english", path["english"]],
+            "priming": ["train", "--input", path["priming"], "--out", str(tmp_path / "m.ppm")],
+        }
+        argv["english"] = argv["arabic"]
+        assert main(argv[bad]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path[bad]}:400: 'utf-8' codec can't decode byte 0xff")
+
+    def test_alphabet_above_256_dump_is_config_error(self, tmp_path, corpus_tsv, capsys):
+        path = tmp_path / "wide.ppm"
+        # header: max order 2, alphabet 257, one context; the empty context with 1 entry
+        path.write_bytes(b"PPMV1" + bytes([2]) + (257).to_bytes(4, "big") + (1).to_bytes(8, "big")
+                         + bytes([0]) + (1).to_bytes(4, "big")
+                         + (1).to_bytes(4, "big") + (1).to_bytes(8, "big"))
+        assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
+        assert "alphabet_size must be an integer in 2..256, got 257" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:inf:1", "0:1:1e-12"])
+    def test_sweep_rejects_unbounded_grid(self, corpus_tsv, capsys, grid):
+        assert main(["sweep", "--pairs", str(corpus_tsv), "--grid", grid]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")

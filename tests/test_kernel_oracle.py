@@ -131,28 +131,28 @@ def _primed():
     return model.snapshot()
 
 
-def _wide():
-    model = PpmModel(3, 1000)
-    model.train([700, 999, 700, 3, 700, 999, 0, 700, 999])
-    model.train([5, 5, 5, 999])
+def _narrow():
+    model = PpmModel(3, 16)
+    model.train([7, 15, 7, 3, 7, 15, 0, 7, 15])
+    model.train([5, 5, 5, 15])
     return model.snapshot()
 
 
-MODELS = {"empty": _empty(), "primed": _primed(), "wide": _wide()}
+MODELS = {"empty": _empty(), "primed": _primed(), "narrow": _narrow()}
 
 byte_texts = st.one_of(
     st.binary(max_size=300),
     st.lists(st.sampled_from(b"the rain spl\x80\x81"), max_size=300).map(bytes),
 )
-wide_texts = st.lists(
-    st.one_of(st.sampled_from([0, 3, 5, 700, 999]), st.integers(0, 999)), max_size=200
+narrow_texts = st.lists(
+    st.one_of(st.sampled_from([0, 3, 5, 7, 15]), st.integers(0, 15)), max_size=200
 )
 
 
 def _cases():
     return st.one_of(
         st.tuples(st.sampled_from(["empty", "primed"]), byte_texts),
-        st.tuples(st.just("wide"), wide_texts),
+        st.tuples(st.just("narrow"), narrow_texts),
     )
 
 

@@ -70,7 +70,8 @@ class TestNewModel:
         assert model.stats(()).counts == {0: 1, 1: 2}
         assert len(model) == 1  # no higher-order contexts ever created
 
-    @pytest.mark.parametrize("order,alphabet", [(-1, 256), (5, 1), (5, 0), (2.5, 256), (256, 4)])
+    @pytest.mark.parametrize("order,alphabet", [
+        (-1, 256), (5, 1), (5, 0), (2.5, 256), (256, 4), (1, 257)])
     def test_invalid_parameters(self, order, alphabet):
         with pytest.raises(ValueError):
             PpmModel(order, alphabet)
@@ -254,7 +255,7 @@ class TestSnapshot:
         assert snap.stats(()).total == 3
         assert model.stats(()).total == 6
 
-    @pytest.mark.parametrize("alphabet", [16, 1000])
+    @pytest.mark.parametrize("alphabet", [16, 200])
     def test_snapshot_survives_later_training(self, alphabet):
         """A snapshot shares its source's table; the source's next train copies
         it first, so the snapshot's bytes and hash never change, also when a
@@ -272,7 +273,7 @@ class TestSnapshot:
         assert PpmModel.loads(before).config_hash() == hashed == snap.config_hash()
         assert model.stats(()).total == 14 and snap.stats(()).total == 6
 
-    @pytest.mark.parametrize("alphabet", [16, 1000])
+    @pytest.mark.parametrize("alphabet", [16, 200])
     def test_later_snapshot_matches_a_fresh_model(self, alphabet):
         texts = [[1, 2, 3, 1, 2, 4], [2, 3, 5, 2, 3], [5, 5, 1, 2]]
         model = PpmModel(3, alphabet)
@@ -303,7 +304,7 @@ class TestSnapshot:
         assert snap.dumps() == before
         assert snap.stats((ord("x"),)) is None
 
-    @pytest.mark.parametrize("alphabet", [256, 1000])
+    @pytest.mark.parametrize("alphabet", [256, 200])
     def test_stats_is_a_detached_copy(self, alphabet):
         """Changing what stats() returns changes neither the snapshot nor its
         source, and leaves no stale cached hash behind."""
@@ -326,10 +327,10 @@ class TestSnapshot:
         snap = PpmModel(1, 4).snapshot()
         assert snap.snapshot() is snap
 
-    @pytest.mark.parametrize("alphabet", [256, 1000])
+    @pytest.mark.parametrize("alphabet", [256, 200])
     def test_pickle_round_trip_stays_frozen(self, alphabet):
         model = PpmModel(3, alphabet)
-        model.train([1, 2, 3, 1, 2, 4, 255, 1, 2])
+        model.train([1, 2, 3, 1, 2, 4, alphabet - 1, 1, 2])
         snap = model.snapshot()
         copy = pickle.loads(pickle.dumps(snap))
         assert copy is not snap
@@ -381,7 +382,7 @@ class TestSerialization:
         pytest.param(1, 256, [((), [(1, 1)]), ((1, 2, 3), [(1, 1)])], id="context-above-max-order"),
         pytest.param(2, 100, [((), [(1, 1)]), ((150,), [(1, 1)])], id="context-symbol-outside"),
         pytest.param(2, 256, [((), [(1, 1)]), ((300,), [(1, 1)])], id="byte-context-symbol-outside"),
-        pytest.param(2, 1000, [((), [(1, 1)]), ((1500,), [(1, 1)])], id="tuple-key-symbol-outside"),
+        pytest.param(2, 257, [((), [(1, 1)])], id="alphabet-above-256"),
         pytest.param(5, 256, [((), [(300, 1)])], id="entry-symbol-outside"),
         pytest.param(5, 256, [((), [(1, 1), (2, 0)])], id="count-below-one"),
         pytest.param(5, 256, [((), [(300, 0)])], id="symbol-300-count-0"),
@@ -431,7 +432,7 @@ def _sha8(data):
 @settings(max_examples=200, deadline=None)
 @given(
     order=st.integers(0, 3),
-    alphabet=st.sampled_from([4, 256, 1000]),
+    alphabet=st.sampled_from([4, 200, 256]),
     contexts=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple),
                       unique=True, max_size=5),
     entries=st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=4),
@@ -466,7 +467,7 @@ _MUTATION = st.tuples(st.sampled_from(["truncate", "flip", "overwrite"]),
 @settings(max_examples=400, deadline=None)
 @given(
     order=st.integers(0, 3),
-    alphabet=st.sampled_from([4, 256, 1000]),
+    alphabet=st.sampled_from([4, 200, 256]),
     texts=st.lists(st.lists(st.integers(0, 999), max_size=8), max_size=3),
     mutations=st.lists(_MUTATION, min_size=1, max_size=3),
 )
