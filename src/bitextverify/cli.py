@@ -74,42 +74,22 @@ def parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _train_on_lines(model: PpmModel, path, transform: str) -> tuple[int, int]:
-    """Train each line of `path` as one text, history reset per line. Returns (texts, symbols)."""
-    n_texts = n_symbols = 0
-    for line in read_lines(path):
-        data = apply_transform(line, transform)
-        model.train(data)
-        n_texts += 1
-        n_symbols += len(data)
-    return n_texts, n_symbols
-
-
 # the bundled files sit next to this module: the package installs as a directory
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-# the transform each side's shipped dump data/<language>.ppm was primed with
-_DUMP_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
-
-
-def _bundled_model(language: str, transform: str, order: int) -> PpmModel:
-    """The desk-corpus model of one side: its shipped dump at the default order
-    and transform, else primed afresh from data/<language>.txt."""
-    if (order, transform) == (DEFAULT_MAX_ORDER, _DUMP_TRANSFORMS[language]):
-        return PpmModel.load(os.path.join(DATA_DIR, f"{language}.ppm"))
-    model = PpmModel(order)
-    _train_on_lines(model, os.path.join(DATA_DIR, f"{language}.txt"), transform)
-    return model
 
 
 def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
-    """(snapshot, id) per side: the model file if one is given, else the bundled model."""
+    """(snapshot, id) per side: the model file if one is given, else the shipped
+    dump data/<language>.ppm. Scoring never primes; only `train` does."""
+    if not args.model_a and args.transform != ARABIC_NUMERIC:
+        raise ValueError(f"--transform {args.transform} needs --model-a: the bundled "
+                         f"Arabic model is primed with --transform {ARABIC_NUMERIC}")
 
-    def side(path, language: str, transform: str) -> tuple[PpmModel, str]:
-        if path:
-            return PpmModel.load(path).snapshot(), str(path)
-        return _bundled_model(language, transform, args.order).snapshot(), f"bundled:{language}"
+    def side(path, language: str) -> tuple[PpmModel, str]:
+        model = PpmModel.load(path or os.path.join(DATA_DIR, f"{language}.ppm"))
+        return model.snapshot(), str(path) if path else f"bundled:{language}"
 
-    return side(args.model_a, "arabic", args.transform), side(args.model_e, "english", IDENTITY)
+    return side(args.model_a, "arabic"), side(args.model_e, "english")
 
 
 def _load_pairs(args):
@@ -156,8 +136,16 @@ def _pair_row(pair) -> str:
 
 
 def cmd_train(args) -> int:
+    """Train each line of --input as one text, history reset per line."""
     model = PpmModel(args.order, args.alphabet)
-    n_texts, n_symbols = _train_on_lines(model, args.input, args.transform)
+    n_texts = n_symbols = 0
+    for n_texts, line in enumerate(read_lines(args.input), 1):
+        data = apply_transform(line, args.transform)
+        try:
+            model.train(data)
+        except ValueError as exc:  # a byte outside --alphabet: the fault is in the input
+            raise CorpusFormatError(f"{args.input}:{n_texts}: {exc}") from None
+        n_symbols += len(data)
     model.save(args.out)
     print(
         f"trained {n_texts} texts, {n_symbols} symbols; "
@@ -291,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--english", help="English side of a line-aligned pair of files")
     shared.add_argument("--model-a", help="Arabic-side model file (default: bundled desk corpus)")
     shared.add_argument("--model-e", help="English-side model file (default: bundled desk corpus)")
-    shared.add_argument("--order", type=int, default=DEFAULT_MAX_ORDER,
-                        help="context order for bundled default models (default 5)")
     shared.add_argument("--transform", choices=TRANSFORM_IDS, default=ARABIC_NUMERIC,
-                        help="Arabic-side transform (default arabic-numeric)")
+                        help="Arabic-side transform (default arabic-numeric; "
+                        "another needs --model-a)")
     shared.add_argument("--jobs", type=int, default=1,
                         help="parallel scoring processes (results are order-stable)")
     thresholds = argparse.ArgumentParser(add_help=False)

@@ -89,12 +89,8 @@ def _ref_loads(data):
 @pytest.fixture(scope="session")
 def bundled_models():
     """Snapshots of the default desk-corpus models, loaded once per session by
-    the CLI's own path (the shipped dumps at these parameters)."""
-    from bitextverify.cli import _bundled_model
-    from bitextverify.ppm import DEFAULT_MAX_ORDER
-    from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
+    the CLI's own loader from the filter command's default arguments (the shipped dumps)."""
+    from bitextverify import cli
 
-    return tuple(
-        _bundled_model(lang, transform, DEFAULT_MAX_ORDER).snapshot()
-        for lang, transform in (("arabic", ARABIC_NUMERIC), ("english", IDENTITY))
-    )
+    args = cli.build_parser().parse_args(["filter", "--out-dir", "unused"])
+    return tuple(model for model, _ in cli._load_models(args))

@@ -33,10 +33,11 @@ REGENERATE = (
     "bitextverify train --input src/bitextverify/data/english.txt"
     " --out src/bitextverify/data/english.ppm",
 )
+SCORING = ("score", "evaluate", "sweep", "filter", "stats")
 
 
 def _refuse_training(self, text):
-    raise AssertionError("a bundled model at the default parameters must load, not prime")
+    raise AssertionError("a scoring run must load its models, not prime them")
 
 
 @pytest.fixture
@@ -147,27 +148,42 @@ class TestTrain:
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
 
-
-def _primed(language, transform, order=5):
-    model = PpmModel(order, 256)
-    cli._train_on_lines(model, PACKAGE_DATA / f"{language}.txt", transform)
-    return model
+    def test_byte_outside_alphabet_names_file_and_line(self, tmp_path, capsys):
+        """A priming byte the alphabet cannot hold is an input error at its line."""
+        src = tmp_path / "priming.txt"
+        src.write_text("plain ascii\nnaïve\n", encoding="utf-8")
+        out = tmp_path / "m.ppm"
+        argv = ["train", "--input", str(src), "--out", str(out), "--alphabet", "128"]
+        assert main(argv) == EXIT_FORMAT
+        assert capsys.readouterr().err == (
+            f"input error: {src}:2: symbol 195 outside alphabet of size 128\n")
+        assert not out.exists()
 
 
 class TestModelLoading:
     def test_bundled_model_hashes(self):
-        for language, transform, digest in BUNDLED:
-            model = cli._bundled_model(language, transform, 5)
-            assert model.config_hash().hex() == digest
+        """The models the filter command's defaults load, by the loader the bench uses."""
+        args = cli.build_parser().parse_args(["filter", "--out-dir", "unused"])
+        for (model, model_id), (language, _, digest) in zip(cli._load_models(args), BUNDLED):
+            assert (model_id, model.config_hash().hex()) == (f"bundled:{language}", digest)
 
-    def test_shipped_dumps_equal_a_fresh_priming(self):
+    def test_shipped_dumps_equal_a_fresh_priming(self, tmp_path, monkeypatch):
+        """The README's regeneration commands, run verbatim on a copy of the desk
+        corpora, write the shipped dumps byte for byte."""
         stale = "data/*.ppm no longer match data/*.txt; regenerate both with\n  " + "\n  ".join(
             REGENERATE)
-        for language, transform, digest in BUNDLED:
-            model = _primed(language, transform)
+        data = tmp_path / "src" / "bitextverify" / "data"
+        data.mkdir(parents=True)
+        for language, *_ in BUNDLED:
+            shutil.copy(PACKAGE_DATA / f"{language}.txt", data)
+        monkeypatch.chdir(tmp_path)
+        for command in REGENERATE:
+            assert main(command.split()[1:]) == 0
+        for language, _, digest in BUNDLED:
+            fresh = (data / f"{language}.ppm").read_bytes()
             shipped = (PACKAGE_DATA / f"{language}.ppm").read_bytes()
-            assert model.dumps() == shipped, stale
-            assert model.config_hash().hex() == digest, stale
+            assert fresh == shipped, stale
+            assert PpmModel.loads(fresh).config_hash().hex() == digest, stale
             assert hashlib.sha256(shipped).hexdigest()[:16] == digest, stale
 
     def test_default_filter_never_primes(self, tmp_path, corpus_tsv, monkeypatch):
@@ -178,17 +194,42 @@ class TestModelLoading:
         assert models == {language: {"id": f"bundled:{language}", "hash": digest}
                           for language, _, digest in BUNDLED}
 
-    @pytest.mark.parametrize("flags, order, transform", [
-        (["--order", "3"], 3, ARABIC_NUMERIC),
-        (["--transform", IDENTITY], 5, IDENTITY),
-    ])
-    def test_other_parameters_still_prime(self, tmp_path, corpus_tsv, flags, order, transform):
+    # the hashes of the desk-corpus models primed at order 3, and of the Arabic one
+    # primed without the arabic-numeric transform
+    @pytest.mark.parametrize("order, transform, digests", [
+        ("3", ARABIC_NUMERIC, ["1c67455b8e1b9e14", "adedb43186074d5c"]),
+        ("5", IDENTITY, ["84214cb98949873b", "c17e2503c48e1d54"]),
+    ], ids=["order-3", "transform-identity"])
+    def test_train_primes_other_parameters(self, tmp_path, corpus_tsv, monkeypatch, order,
+                                           transform, digests):
+        """Another order or Arabic transform: prime with train, score with the model files."""
+        models = {}
+        for language, side_transform in (("arabic", transform), ("english", IDENTITY)):
+            models[language] = str(tmp_path / f"{language}.ppm")
+            assert main(["train", "--input", str(PACKAGE_DATA / f"{language}.txt"),
+                         "--order", order, "--transform", side_transform,
+                         "--out", models[language]]) == 0
+        monkeypatch.setattr(PpmModel, "train", _refuse_training)
         out = tmp_path / "out"
-        assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out), *flags]) == 0
-        models = json.loads((out / "report.json").read_text(encoding="utf-8"))["models"]
-        arabic, english = _primed("arabic", transform, order), _primed("english", IDENTITY, order)
-        assert models["arabic"]["hash"] == arabic.config_hash().hex() != BUNDLED[0][2]
-        assert models["english"]["hash"] == english.config_hash().hex()
+        assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out),
+                     "--transform", transform,
+                     "--model-a", models["arabic"], "--model-e", models["english"]]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [report["models"][language] for language in ("arabic", "english")] == [
+            {"id": models[language], "hash": digest} for language, digest in zip(models, digests)]
+
+    @pytest.mark.parametrize("command", SCORING)
+    def test_other_transform_needs_a_model_file(self, tmp_path, corpus_tsv, monkeypatch,
+                                                capsys, command):
+        """The bundled Arabic model is primed with arabic-numeric; no other transform
+        primes one in its place."""
+        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        out = tmp_path / "out"
+        extra = ["--out-dir", str(out)] if command == "filter" else []
+        assert main([command, "--pairs", str(corpus_tsv), "--transform", IDENTITY,
+                     *extra]) == EXIT_CONFIG
+        assert "--model-a" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dump_is_io_error(self, tmp_path, corpus_tsv, monkeypatch, capsys):
         """No fallback: a default run without its shipped dump fails, it does not prime."""
@@ -456,14 +497,12 @@ class TestStats:
 
 
 class TestParser:
-    SCORING = ("score", "evaluate", "sweep", "filter", "stats")
-
     def test_scoring_commands_share_defaults(self):
         parser = cli.build_parser()
         shared = {"pairs": None, "format": "tsv", "arabic": None, "english": None,
-                  "model_a": None, "model_e": None, "order": 5, "transform": ARABIC_NUMERIC,
+                  "model_a": None, "model_e": None, "transform": ARABIC_NUMERIC,
                   "jobs": 1}
-        for command in self.SCORING:
+        for command in SCORING:
             extra = ["--out-dir", "out"] if command == "filter" else []
             args = vars(parser.parse_args([command, *extra]))
             assert {key: args.get(key) for key in shared} == shared, command
@@ -472,11 +511,15 @@ class TestParser:
             else:
                 assert "theta_slr" not in args and "theta_cr" not in args, command
 
-    @pytest.mark.parametrize("command", SCORING)
-    def test_only_train_takes_alphabet(self, corpus_tsv, command, capsys):
-        extra = ["--out-dir", "out"] if command == "filter" else []
-        assert main([command, "--pairs", str(corpus_tsv), "--alphabet", "256", *extra]) == 2
-        assert "unrecognized arguments: --alphabet 256" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag", [
+        *(pytest.param(command, "--alphabet", id=command) for command in SCORING),
+        *(pytest.param(command, "--order", id=f"{command}-order") for command in SCORING),
+    ])
+    def test_only_train_takes_alphabet(self, tmp_path, corpus_tsv, command, flag, capsys):
+        """--alphabet and --order shape a model, so only train takes them."""
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "filter" else []
+        assert main([command, "--pairs", str(corpus_tsv), flag, "3", *extra]) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -489,7 +532,8 @@ class TestExitCodes:
         assert main(["score", "--pairs", str(path)]) == EXIT_FORMAT
 
     def test_bad_config_is_config_error(self, tmp_path, corpus_tsv):
-        assert main(["score", "--pairs", str(corpus_tsv), "--order", "-2"]) == EXIT_CONFIG
+        train = ["train", "--input", str(corpus_tsv), "--out", str(tmp_path / "m.ppm")]
+        assert main([*train, "--order", "-2"]) == EXIT_CONFIG
         assert main(["sweep", "--pairs", str(corpus_tsv), "--grid", "3:1:1"]) == EXIT_CONFIG
 
     def test_unknown_flag_value_is_usage_error(self, corpus_tsv):
