@@ -57,7 +57,7 @@ def fmt_pct(value) -> str:
 
 def parse_grid(spec: str) -> list[float]:
     """Grid spec: either comma-separated values or start:stop:step (inclusive) with
-    finite parts, giving 1 to MAX_GRID strictly increasing values."""
+    finite parts, giving 1 to MAX_GRID strictly increasing, finite, positive values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -69,8 +69,10 @@ def parse_grid(spec: str) -> list[float]:
         grid = [round(start + i * step, 10) for i in range(count)]
     else:
         grid = [float(p) for p in spec.split(",") if p]
-    if not grid or len(grid) > MAX_GRID or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid must be 1 to {MAX_GRID} strictly increasing values, got {spec!r}")
+    if (not 0 < len(grid) <= MAX_GRID or not all(map(math.isfinite, grid))
+            or any(b <= a for a, b in zip([0, *grid], grid))):  # the first must exceed 0 too
+        raise ValueError(f"grid must be 1 to {MAX_GRID} strictly increasing values, finite and "
+                         f"above 0, got {spec!r}")
     return grid
 
 
@@ -93,6 +95,8 @@ def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
 
 
 def _load_pairs(args):
+    if args.jobs < 1:  # before any input is read; pool_size checks again for library callers
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.format == "aligned":
         if not (args.arabic and args.english):
             raise ValueError("aligned format needs --arabic and --english")

@@ -24,11 +24,10 @@ the ideal length is integer truncation of the range split plus the flush.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import NamedTuple, Sequence
 
-from .ppm import PpmModel, code_text
+from .ppm import PpmModel, code_text, sha256
 
 _MAGIC = b"PPMC"
 _VERSION = 1
@@ -72,8 +71,7 @@ class EncodedBlob(NamedTuple):
 
 
 def _coding_hash(model: PpmModel, adapt: bool) -> bytes:
-    digest = hashlib.sha256(model.config_hash() + (b"\x01" if adapt else b"\x00"))
-    return digest.digest()[:8]
+    return sha256(model.config_hash() + (b"\x01" if adapt else b"\x00")).digest()[:8]
 
 
 class _RangeEncoder:

@@ -27,15 +27,15 @@ a ``[total, counts]`` list, the shape the coders' private overlays use too;
 the one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe``
 is the counting step shared by training and ``ModelOverlay.update``.
 
-A snapshot shares its source's table until the source trains again: the
-first ``train`` after a ``snapshot`` copies the table before it writes, so
-taking a snapshot costs no copy, and a model that is never trained again
-(the CLI's, a loaded model file's) is never copied at all.
+A snapshot shares its source's table until the source trains again, and
+``loads`` gives the contexts that list the same (symbol, count) entries one
+shared ``[total, counts]`` list; the first ``train`` after either copies the
+table before it writes, so a model never trained again (the CLI's) is never
+copied. SHA-256 comes from the built-in module if it can: hashlib maps OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from itertools import chain
@@ -43,6 +43,14 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+try:  # hashlib maps OpenSSL's libcrypto; like random.py, try the lean built-in module first
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 DEFAULT_MAX_ORDER = 5
 DEFAULT_ALPHABET_SIZE = 256
@@ -195,7 +203,7 @@ class PpmModel:
         self._table: dict = {b"": [0, {}]}  # context -> [total, counts]
         self._frozen = False
         self._hash: bytes | None = None
-        self._shared = False  # a snapshot holds _table: copy it before the next write
+        self._shared = False  # a snapshot holds _table, or loads shared entries: copy first
 
     def _keys(self, text: Sequence[int]) -> bytes:
         """`text` as bytes; raises ValueError on a symbol outside the alphabet."""
@@ -289,6 +297,7 @@ class PpmModel:
         that breaks what the estimator relies on: each context at most max_order
         long and listed once, each symbol in the alphabet and listed once per
         context, each count at least 1."""
+        data = bytes(data)  # no copy of bytes; slices of a bytearray cannot be dict keys
         if data[:5] != _MAGIC:
             raise ValueError("not a PPMV1 model dump")
         try:
@@ -299,7 +308,7 @@ class PpmModel:
             empty = table[b""]  # pre-inserted by __init__
             # per context length: (symbols..., entry count), after the length byte
             heads = [struct.Struct(f">{n}II") for n in range(max_order + 1)]
-            entry, entries, entry_size = _ENTRY.unpack_from, _ENTRY.iter_unpack, _ENTRY.size
+            entries, entry_size, runs = _ENTRY.iter_unpack, _ENTRY.size, {}
             for _ in range(n_contexts):
                 ctx_len = data[pos]
                 if ctx_len > max_order:
@@ -308,21 +317,19 @@ class PpmModel:
                 *ctx, n_entries = head.unpack_from(data, pos + 1)
                 pos += 1 + head.size
                 end = pos + entry_size * n_entries
-                if n_entries == 1:  # most contexts of a primed model
-                    symbol, total = entry(data, pos)
-                    counts = {symbol: total}
-                else:
-                    if end > len(data):
-                        raise struct.error("entries run past the end")
-                    counts = dict(entries(data[pos:end]))
+                if end > len(data):
+                    raise struct.error("entries run past the end")
+                run, pos = data[pos:end], end
+                stats = runs.get(run)  # one [total, counts] per distinct run of entry bytes
+                if stats is None:
+                    counts = dict(entries(run))
                     if len(counts) != n_entries:
                         raise ValueError(f"context {tuple(ctx)} lists a symbol twice")
-                    total = sum(counts.values())
-                pos = end
-                if 0 in counts.values():
-                    raise ValueError(f"context {tuple(ctx)} has a count below 1")
+                    if 0 in counts.values():
+                        raise ValueError(f"context {tuple(ctx)} has a count below 1")
+                    stats = runs[run] = [sum(counts.values()), counts]
                 try:
-                    table[bytes(ctx)] = [total, counts]
+                    table[bytes(ctx)] = stats
                 except ValueError:  # bytes() met a context symbol above 255
                     raise ValueError(f"context {tuple(ctx)} has a symbol outside alphabet "
                                      f"{alphabet_size}") from None
@@ -335,13 +342,14 @@ class PpmModel:
         # a dump that lists no empty context keeps the pre-inserted one; a repeat loads one fewer
         if len(table) != n_contexts + (table[b""] is empty):
             raise ValueError("corrupt PPMV1 model dump: a context is listed twice")
-        symbols = chain.from_iterable(counts for _, counts in table.values())
+        symbols = chain.from_iterable(counts for _, counts in runs.values())
         if alphabet_size != 256:  # at 256, bytes() has range-checked every context
             symbols = chain(chain.from_iterable(table), symbols)
         if max(symbols, default=0) >= alphabet_size:
             raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
         if n_contexts and data[first] == 0:  # the empty context first: dumps() gives data back
-            model._hash = hashlib.sha256(data).digest()[:8]
+            model._hash = sha256(data).digest()[:8]
+        model._shared = True  # contexts share entries: train copies the table first
         return model
 
     def save(self, path) -> None:
@@ -357,7 +365,7 @@ class PpmModel:
         """8-byte digest over the full model state (order, alphabet, statistics):
         the first 8 bytes of the SHA-256 of dumps(). Kept until the next train."""
         if self._hash is None:
-            self._hash = hashlib.sha256(self.dumps()).digest()[:8]
+            self._hash = sha256(self.dumps()).digest()[:8]
         return self._hash
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -95,6 +96,13 @@ def test_parse_grid_range_and_list():
         parse_grid("3:1:0.5")
     with pytest.raises(ValueError):
         parse_grid("2.0,1.0")
+
+
+@pytest.mark.parametrize("spec", ["nan", "1,inf", "-inf,1", "1,nan,2", "0:1:0.5", "0,1",
+                                  "-1,2", "-2:-1:0.5"])
+def test_parse_grid_rejects_non_finite_and_non_positive_values(spec):
+    with pytest.raises(ValueError, match="finite and above 0"):
+        parse_grid(spec)
 
 
 class TestTrain:
@@ -439,14 +447,17 @@ class TestFilter:
         NamedTuples), nor fractions and decimal (only exact accuracies and their
         printing use them), nor importlib.resources, pathlib, tempfile and
         shutil (the bundled files are found with os.path; only argparse's help
-        formatter imports shutil, once the parser is built). Then, with every
-        package module imported, each top-level module the package brought in
-        is from the standard library. Runs in a fresh interpreter without site
+        formatter imports shutil, once the parser is built), nor _hashlib,
+        which maps OpenSSL, where a built-in SHA-256 module exists. Then, with
+        every package module imported, each top-level module the package
+        brought in is from the standard library. Runs in a fresh interpreter without site
         (-S): the test runner may have imported them here, and site's .pth
         files may import them too."""
         out_dir = tmp_path / "out"
         modules = ("multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
                    "importlib.resources", "pathlib", "tempfile", "shutil")
+        if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            modules += ("_hashlib",)
         script = (
             "import sys\n"
             "bare = {m.partition('.')[0] for m in sys.modules}\n"
@@ -546,6 +557,16 @@ class TestExitCodes:
         assert main(["score", *args]) == EXIT_CONFIG
         assert main(["filter", *args, "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--grid", "nan"], ["filter", "--jobs", "0"],
+                                         ["score", "--jobs", "-1"]], ids=" ".join)
+    def test_bad_option_exits_before_any_input_is_read(self, tmp_path, capsys, command):
+        args = [*command, "--pairs", str(tmp_path / "missing.tsv")]
+        if command[0] == "filter":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_input_is_config_error(self):
         assert main(["score"]) == EXIT_CONFIG

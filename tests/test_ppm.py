@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bitextverify.cli import DATA_DIR
 from bitextverify.coder import ideal_bits
 from bitextverify.ppm import (
     ContextStats,
@@ -500,6 +501,53 @@ def test_loads_matches_the_frozen_reader_on_damaged_dumps(order, alphabet, texts
     contexts = [(tuple(ctx), total, list(counts.items()))
                 for ctx, (total, counts) in loaded._table.items()]
     assert (loaded.max_order, loaded.alphabet_size, contexts, loaded._hash is not None) == expected
+
+
+class TestSharedEntries:
+    """loads gives every context that lists the same entry bytes one shared
+    [total, counts] list; training a loaded model copies the table first."""
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, lambda b: memoryview(bytearray(b))],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_loads_accepts_any_bytes_like(self, wrap):
+        model = PpmModel(3, 256)
+        model.train(b"abracadabra, abracadabra")
+        data = model.dumps()
+        loaded = PpmModel.loads(wrap(data))
+        assert loaded == model and loaded._table == model._table
+        assert loaded._hash == loaded.config_hash() == model.config_hash() == _sha8(data)
+
+    @pytest.mark.parametrize("language, runs", [("arabic", 923), ("english", 1145)])
+    def test_bundled_models_share_their_entries(self, language, runs):
+        model = PpmModel.load(f"{DATA_DIR}/{language}.ppm")
+        assert len({id(entry) for entry in model._table.values()}) <= runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    alphabet=st.sampled_from([3, 200, 256]),
+    texts=st.lists(st.lists(st.integers(0, 999), max_size=12), min_size=1, max_size=4),
+    more=st.lists(st.integers(0, 999), max_size=12),
+)
+def test_training_a_loaded_model_leaves_shared_entries_alone(order, alphabet, texts, more):
+    """Training a loaded model, with or without a snapshot taken, changes
+    neither the snapshot nor the other contexts that shared an entry, and gives
+    the model that training from scratch gives."""
+    texts = [[s % alphabet for s in text] for text in [*texts, more]]
+    source = PpmModel(order, alphabet)
+    for text in texts[:-1]:
+        source.train(text)
+    data = source.dumps()
+    before = {ctx: source.stats(ctx) for ctx in source.contexts()}
+    loaded, bare = PpmModel.loads(data), PpmModel.loads(data)
+    snap = loaded.snapshot()
+    loaded.train(texts[-1])
+    bare.train(texts[-1])
+    source.train(texts[-1])
+    assert snap.dumps() == data
+    assert {ctx: snap.stats(ctx) for ctx in snap.contexts()} == before
+    assert loaded.dumps() == bare.dumps() == source.dumps()
 
 
 def test_context_stats_equality_ignores_insertion_order():
