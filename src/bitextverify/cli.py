@@ -32,7 +32,7 @@ EXIT_FORMAT = 3
 EXIT_IO = 4
 
 DEFAULT_GRID = "1.25:3.50:0.25"
-# sweep evaluates len(grid)**2 threshold cells, each over the whole corpus
+# sweep prints len(grid)**2 threshold cells, all counted in one pass over the corpus
 MAX_GRID = 1000
 
 
@@ -68,7 +68,7 @@ def parse_grid(spec: str) -> list[float]:
         count = int(min((stop - start) / step + 1e-9, MAX_GRID)) + 1  # MAX_GRID + 1 at most
         grid = [round(start + i * step, 10) for i in range(count)]
     else:
-        grid = [float(p) for p in spec.split(",") if p]
+        grid = [float(p) if p else math.nan for p in spec.split(",")]  # an empty item fails
     if (not 0 < len(grid) <= MAX_GRID or not all(map(math.isfinite, grid))
             or any(b <= a for a, b in zip([0, *grid], grid))):  # the first must exceed 0 too
         raise ValueError(f"grid must be 1 to {MAX_GRID} strictly increasing values, finite and "

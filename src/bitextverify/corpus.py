@@ -306,21 +306,45 @@ def threshold_matrix(
     """Average accuracy of the hybrid rule over a threshold grid.
 
     Cell [i][j] evaluates theta_cr = cr_grid[i] (down) with
-    theta_slr = slr_grid[j] (across). Scores are computed once by the caller
-    and reused for every cell.
+    theta_slr = slr_grid[j] (across), equal to what evaluate() reports there.
+    A pair passes iff slr <= theta_slr and cr <= theta_cr, so bisect_left
+    places it at the first row and column where it passes; each cell then
+    counts the passing pairs of each label from 2-D prefix sums of those places.
     """
+    from bisect import bisect_left
+    from fractions import Fraction
+    from functools import cache
+    from itertools import accumulate
     for name, grid in (("slr_grid", slr_grid), ("cr_grid", cr_grid)):
         if not grid:
             raise ValueError(f"{name} is empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(a < b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"{name} must be strictly increasing")
-    return [
-        [
-            evaluate(pairs, scores, ThresholdConfig(theta_slr, theta_cr), METRIC_BOTH).average
-            for theta_slr in slr_grid
-        ]
-        for theta_cr in cr_grid
-    ]
+    if len(pairs) != len(scores):
+        raise ValueError(f"{len(pairs)} pairs but {len(scores)} scores")
+    cols = len(slr_grid) + 1
+    # sat/unsat[i][j]: the pairs of that label that first pass at row i, column j
+    sat = [[0] * cols for _ in range(len(cr_grid) + 1)]
+    unsat = [[0] * cols for _ in range(len(cr_grid) + 1)]
+    for pair, score in zip(pairs, scores):
+        if pair.label is None:
+            raise CorpusFormatError(f"pair {pair.id!r} is unlabeled")
+        table = sat if pair.label == SATISFACTORY else unsat
+        table[bisect_left(cr_grid, score.cr)][bisect_left(slr_grid, score.slr)] += 1
+    n_sat, n_unsat = sum(map(sum, sat)), sum(map(sum, unsat))
+    if n_sat == 0 or n_unsat == 0:
+        raise CorpusFormatError("evaluation needs at least one pair of each label")
+
+    @cache  # few distinct (sat, unsat) counts, however fine the grid: one Fraction each
+    def average(s: int, u: int) -> Fraction:
+        return (Fraction(100 * s, n_sat) + Fraction(100 * (n_unsat - u), n_unsat)) / 2
+
+    matrix, sat_pass, unsat_pass = [], [0] * cols, [0] * cols
+    for sat_row, unsat_row in zip(sat[:-1], unsat[:-1]):  # 2-D prefix sums, a row at a time
+        sat_pass = [a + b for a, b in zip(accumulate(sat_row), sat_pass)]
+        unsat_pass = [a + b for a, b in zip(accumulate(unsat_row), unsat_pass)]
+        matrix.append([average(s, u) for s, u in zip(sat_pass[:-1], unsat_pass[:-1])])
+    return matrix
 
 
 def greater_stats(scores: Sequence[PairScore]) -> tuple[float, float]:

@@ -27,11 +27,14 @@ a ``[total, counts]`` list, the shape the coders' private overlays use too;
 the one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe``
 is the counting step shared by training and ``ModelOverlay.update``.
 
-A snapshot shares its source's table until the source trains again, and
-``loads`` gives the contexts that list the same (symbol, count) entries one
-shared ``[total, counts]`` list; the first ``train`` after either copies the
-table before it writes, so a model never trained again (the CLI's) is never
-copied. SHA-256 comes from the built-in module if it can: hashlib maps OpenSSL.
+Entries are shared, so no entry of total 1 is ever counted into. Training
+gives each context seen once the entry ``_ONCE[sym]``, one per symbol, and
+its next observation replaces it. A snapshot shares its source's table until
+the source trains again, and ``loads`` gives the contexts that list the same
+(symbol, count) entries one shared ``[total, counts]`` list; the first
+``train`` after either copies the table, all but its total-1 entries, before
+it writes, so a model never trained again (the CLI's) is never copied.
+SHA-256 comes from the built-in module if it can: hashlib maps OpenSSL.
 """
 
 from __future__ import annotations
@@ -161,11 +164,16 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
     return bits
 
 
+_ONCE: dict = {}  # symbol -> the entry its once-seen contexts share, made when training needs it
+
+
 def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
     """Count each symbol seq[i], i >= start, after each of its contexts seq[j:i].
 
     Contexts go shortest first, so a growing table keeps first-observation
-    order. A context missing from `table` starts as a copy from `base`, or empty.
+    order. A context missing from `table` starts as a copy from `base`, or else
+    as the shared `_ONCE[sym]`. An entry of total 1 may be shared, so it is
+    never counted into: the next observation replaces it, first symbol first.
     """
     for i in range(start, len(seq)):
         sym = seq[i]
@@ -174,10 +182,17 @@ def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
             entry = table.get(ctx)
             if entry is None:
                 entry = base.get(ctx)
-                entry = table[ctx] = [0, {}] if entry is None else [entry[0], entry[1].copy()]
-            counts = entry[1]
+                if entry is None:
+                    table[ctx] = _ONCE.get(sym) or _ONCE.setdefault(sym, [1, {sym: 1}])
+                    continue
+                entry = table[ctx] = [entry[0], entry[1].copy()]
+            total, counts = entry
+            if total == 1:
+                (first,) = counts
+                table[ctx] = [2, {sym: 2} if first == sym else {first: 1, sym: 1}]
+                continue
             counts[sym] = counts.get(sym, 0) + 1
-            entry[0] += 1
+            entry[0] = total + 1
 
 
 class PpmModel:
@@ -255,7 +270,7 @@ class PpmModel:
         self._hash = None
         if self._shared:
             table = self._table
-            self._table = {ctx: [total, counts.copy()] for ctx, (total, counts) in table.items()}
+            self._table = {ctx: e if e[0] == 1 else [e[0], e[1].copy()] for ctx, e in table.items()}
             self._shared = False
         _observe(self._table, {}, seq, 0, self.max_order)
 

@@ -39,6 +39,23 @@ def _ref_walk(lookup, history, symbol, max_order, alphabet_size):
     yield (-1, SYMBOL, 1, alphabet_size, None)
 
 
+# The frozen counting step that PpmModel.train and ModelOverlay.update share,
+# kept as it was before contexts seen once shared one entry per symbol: every
+# context gets its own [total, counts] list, copied from `base` or empty.
+def _ref_observe(table, base, seq, start, max_order):
+    for i in range(start, len(seq)):
+        sym = seq[i]
+        for j in range(i, (i - max_order if i > max_order else 0) - 1, -1):
+            ctx = seq[j:i]
+            entry = table.get(ctx)
+            if entry is None:
+                entry = base.get(ctx)
+                entry = table[ctx] = [0, {}] if entry is None else [entry[0], entry[1].copy()]
+            counts = entry[1]
+            counts[sym] = counts.get(sym, 0) + 1
+            entry[0] += 1
+
+
 # The frozen PPMV1 reader that the table-of-lists PpmModel.loads replaced, kept
 # in logic as it was: the same checks, in the same order. It returns
 # (max_order, alphabet_size, [(context, total, [(symbol, count), ...])] in table

@@ -99,7 +99,7 @@ def test_parse_grid_range_and_list():
 
 
 @pytest.mark.parametrize("spec", ["nan", "1,inf", "-inf,1", "1,nan,2", "0:1:0.5", "0,1",
-                                  "-1,2", "-2:-1:0.5"])
+                                  "-1,2", "-2:-1:0.5", "1,,2", "1,2,", ",1"])
 def test_parse_grid_rejects_non_finite_and_non_positive_values(spec):
     with pytest.raises(ValueError, match="finite and above 0"):
         parse_grid(spec)

@@ -357,6 +357,46 @@ class TestThresholdMatrix:
             threshold_matrix(self.pairs, self.scores, [1.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             threshold_matrix(self.pairs, self.scores, [2.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            threshold_matrix(self.pairs, self.scores, [1.0, float("nan"), 2.0], [1.0])
+
+
+GRID_VALUES = st.lists(st.integers(1, 40).map(lambda k: k / 8), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slr_grid=GRID_VALUES,
+    cr_grid=GRID_VALUES,
+    # scores on grid points (k / 8), between them, and beyond both ends
+    rows=st.lists(st.tuples(st.booleans(), st.integers(0, 44), st.integers(0, 44),
+                            st.booleans(), st.booleans()), min_size=1, max_size=30),
+)
+def test_threshold_matrix_equals_evaluate_per_cell(slr_grid, cr_grid, rows):
+    slr_grid, cr_grid = sorted(slr_grid), sorted(cr_grid)
+    pairs = [labeled(f"p{i}", SATISFACTORY if sat else UNSATISFACTORY)
+             for i, (sat, *_) in enumerate(rows)]
+    scores = [make_score(f"p{i}", k / 8 + 0.0625 * between_slr, m / 8 + 0.0625 * between_cr)
+              for i, (_, k, m, between_slr, between_cr) in enumerate(rows)]
+    try:
+        expected = [[evaluate(pairs, scores, ThresholdConfig(theta_slr, theta_cr)).average
+                     for theta_slr in slr_grid] for theta_cr in cr_grid]
+    except CorpusFormatError as exc:  # one label only
+        with pytest.raises(CorpusFormatError, match=str(exc)):
+            threshold_matrix(pairs, scores, slr_grid, cr_grid)
+        return
+    matrix = threshold_matrix(pairs, scores, slr_grid, cr_grid)
+    assert matrix == expected
+    assert all(type(cell) is type(expected[0][0]) for row in matrix for cell in row)
+
+
+def test_threshold_matrix_keeps_evaluates_input_checks():
+    pairs = [labeled("s", SATISFACTORY), labeled("u", UNSATISFACTORY)]
+    scores = [make_score("s", 1.0, 1.0), make_score("u", 3.0, 3.0)]
+    with pytest.raises(CorpusFormatError, match="'p2' is unlabeled"):
+        threshold_matrix([*pairs, SentencePair("p2", "a", "b")], [*scores, scores[0]], [1.0], [1.0])
+    with pytest.raises(ValueError, match="2 pairs but 1 scores"):
+        threshold_matrix(pairs, scores[:1], [1.0], [1.0])
 
 
 class TestGreaterStats:

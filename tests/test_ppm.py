@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from bitextverify.cli import DATA_DIR
 from bitextverify.coder import ideal_bits
+from bitextverify.corpus import read_lines
 from bitextverify.ppm import (
+    _ONCE,
     ContextStats,
     FrozenModelError,
     PpmModel,
@@ -17,8 +19,17 @@ from bitextverify.ppm import (
     escape_probability,
     symbol_probability,
 )
+from bitextverify.preprocess import ARABIC_NUMERIC, apply_transform
 
-from conftest import DETERMINISTIC_ESCAPE, ESCAPE, SYMBOL, _ref_loads, _ref_walk, char_model
+from conftest import (
+    DETERMINISTIC_ESCAPE,
+    ESCAPE,
+    SYMBOL,
+    _ref_loads,
+    _ref_observe,
+    _ref_walk,
+    char_model,
+)
 
 SEEN = "س"   # seen/siin
 BA = "ب"
@@ -548,6 +559,64 @@ def test_training_a_loaded_model_leaves_shared_entries_alone(order, alphabet, te
     assert snap.dumps() == data
     assert {ctx: snap.stats(ctx) for ctx in snap.contexts()} == before
     assert loaded.dumps() == bare.dumps() == source.dumps()
+
+
+def _layout(table):
+    """Contexts in table order, each with its total and its counts in order."""
+    return [(ctx, total, list(counts.items())) for ctx, (total, counts) in table.items()]
+
+
+def _once_entries_intact():
+    return all(entry == [1, {s: 1}] for s, entry in _ONCE.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.integers(0, 5),
+    alphabet=st.sampled_from([3, 200, 256]),
+    texts=st.lists(st.lists(st.integers(0, 999), max_size=16), min_size=1, max_size=4),
+    more=st.lists(st.integers(0, 999), max_size=16),
+)
+def test_shared_once_seen_entries_count_like_the_reference(order, alphabet, texts, more):
+    """Training gives the frozen reference's contexts, totals and counts, all in
+    the same order, and the shared entries of once-seen contexts still read
+    [1, {s: 1}] after training, a snapshot, loads then train, and overlay updates."""
+    texts = [bytes(s % alphabet for s in text) for text in [*texts, more]]
+    model, reference = PpmModel(order, alphabet), {b"": [0, {}]}
+    for text in texts[:-1]:
+        model.train(text)
+        _ref_observe(reference, {}, text, 0, order)
+    assert _layout(model._table) == _layout(reference)
+    assert _once_entries_intact()
+    before = _layout(reference)
+    snap, loaded = model.snapshot(), PpmModel.loads(model.dumps())
+    for trained in (model, loaded):
+        trained.train(texts[-1])
+    _ref_observe(reference, {}, texts[-1], 0, order)
+    assert _layout(model._table) == _layout(loaded._table) == _layout(reference)
+    assert _layout(snap._table) == before
+    assert _once_entries_intact()
+    overlay, local = snap.overlay(), {}
+    for i, symbol in enumerate(texts[-1]):
+        overlay.update(texts[-1][:i], symbol)
+        seq = texts[-1][max(0, i - order):i + 1]
+        _ref_observe(local, snap._table, seq, len(seq) - 1, order)
+    assert _layout(overlay._local) == _layout(local)
+    assert _layout(snap._table) == before
+    assert _once_entries_intact()
+
+
+def test_bundled_priming_shares_its_once_seen_entries():
+    """A model trained on the bundled Arabic priming text keeps one list per
+    context seen more than once: 6,188 contexts, 4,269 of them seen once, which
+    share at most the 256 entries of _ONCE."""
+    model = PpmModel()
+    for line in read_lines(f"{DATA_DIR}/arabic.txt"):
+        model.train(apply_transform(line, ARABIC_NUMERIC))
+    assert model.dumps() == PpmModel.load(f"{DATA_DIR}/arabic.ppm").dumps()
+    assert len(model) == 6188
+    assert sum(total == 1 for total, _ in model._table.values()) == 4269
+    assert len({id(entry) for entry in model._table.values()}) <= 6188 - 4269 + 256
 
 
 def test_context_stats_equality_ignores_insertion_order():
