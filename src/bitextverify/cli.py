@@ -98,9 +98,14 @@ def _load_pairs(args):
     if args.jobs < 1:  # before any input is read; pool_size checks again for library callers
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.format == "aligned":
+        if args.pairs:
+            raise ValueError("--pairs is read only with --format tsv")
         if not (args.arabic and args.english):
             raise ValueError("aligned format needs --arabic and --english")
         return load_corpus(args.arabic, "aligned", english_path=args.english)
+    for option, value in (("--arabic", args.arabic), ("--english", args.english)):
+        if value:
+            raise ValueError(f"{option} is read only with --format aligned")
     if not args.pairs:
         raise ValueError("tsv format needs --pairs")
     return load_corpus(args.pairs, "tsv")
@@ -288,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "another needs --model-a)")
     shared.add_argument("--jobs", type=int, default=1,
                         help="parallel scoring processes (results are order-stable)")
-    thresholds = argparse.ArgumentParser(add_help=False)
-    thresholds.add_argument("--theta-slr", type=float, default=2.5)
-    thresholds.add_argument("--theta-cr", type=float, default=2.25)
+    thresholds, defaults = argparse.ArgumentParser(add_help=False), ThresholdConfig()
+    thresholds.add_argument("--theta-slr", type=float, default=defaults.theta_slr)
+    thresholds.add_argument("--theta-cr", type=float, default=defaults.theta_cr)
 
     p = sub.add_parser("score", parents=[shared, thresholds], help="score pairs to a per-pair TSV")
     p.add_argument("--out", help="output TSV (default: stdout)")

@@ -8,12 +8,9 @@ its length tracks the ideal length to within a small constant (bounded by 64
 bits across the fuzz corpus, typically under 24). ``ideal_bits`` and
 ``encode`` are one pass of ``ppm.code_text``, which converts the text to
 ``bytes`` and range-checks every symbol first, so an out-of-alphabet symbol
-raises ValueError under either adapt flag. ``decode`` returns ``bytes`` and
-keys its contexts by ``bytes`` slices, as the model does. It learns each
-symbol only at its coding order, so it counts the symbol in the contexts it
-escaped through once it is known, and in the shorter ones as it walks on. It
-counts in a private dict with the kernel's scheme: a context's first touch
-records the bare symbol, and only its second copies the counts.
+raises ValueError under either adapt flag. ``decode`` checks the blob and is
+one pass of ``ppm.decode_text``, which returns ``bytes``. This module holds
+only the PPMC blob format and the range coder; ppm.py alone reads the table.
 
 The coder is a 64-bit range coder with explicit carry propagation into the
 already-emitted bytes. PPMD frequencies are exact small integers (2c-1 per
@@ -27,7 +24,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple, Sequence
 
-from .ppm import PpmModel, code_text, sha256
+from .ppm import PpmModel, code_text, decode_text, sha256
 
 _MAGIC = b"PPMC"
 _VERSION = 1
@@ -166,68 +163,7 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> bytes:
         )
     if blob.length < 0:
         raise CodecError("negative length")
-    out = bytearray()
-    d, alphabet, base = model.max_order, model.alphabet_size, model._table
-    local: dict = {}  # context -> [total, counts], or the one symbol it has seen
-    dec = _RangeDecoder(blob.payload)
-    for i in range(blob.length):
-        hist = bytes(out[i - d if i > d else 0:i])
-        walked = []  # contexts decoded through, longest first: (context, local entry or None)
-        sym = -1
-        for j in range(len(hist) + 1):
-            ctx = hist[j:]
-            entry = local.get(ctx)
-            if entry is not None and entry.__class__ is not list:
-                # second touch: copy, then count the first
-                stats = base.get(ctx)
-                counts = {} if stats is None else stats[1].copy()
-                counts[entry] = counts.get(entry, 0) + 1
-                entry = local[ctx] = [1 if stats is None else stats[0] + 1, counts]
-            if sym >= 0:  # below the coding order: only count the symbol
-                if entry is None:
-                    local[ctx] = sym
-                else:
-                    counts = entry[1]
-                    counts[sym] = counts.get(sym, 0) + 1
-                    entry[0] += 1
-                continue
-            walked.append((ctx, entry))
-            if entry is None:  # first touch: code from the base table
-                stats = base.get(ctx)
-                if stats is None or not stats[0]:
-                    continue
-                total, counts = stats
-            else:
-                total, counts = entry
-            total *= 2
-            t, r = dec.split(total)
-            esc_start = total - len(counts)
-            if t >= esc_start:
-                dec.consume(esc_start, len(counts), r)
-                continue
-            start = 0
-            for s, c in counts.items():
-                width = 2 * c - 1
-                if t < start + width:
-                    sym = s
-                    dec.consume(start, width, r)
-                    break
-                start += width
-            if not adapt:
-                break
-        if sym < 0:
-            sym, r = dec.split(alphabet)
-            dec.consume(sym, 1, r)
-        if adapt:
-            for ctx, entry in walked:
-                if entry is None:
-                    local[ctx] = sym
-                else:
-                    counts = entry[1]
-                    counts[sym] = counts.get(sym, 0) + 1
-                    entry[0] += 1
-        out.append(sym)
-    return bytes(out)
+    return decode_text(model, blob.length, _RangeDecoder(blob.payload), adapt)
 
 
 def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True) -> float:

@@ -27,6 +27,9 @@ METRIC_CR = "cr"
 METRIC_BOTH = "both"
 METRIC_MODES = (METRIC_SLR, METRIC_CR, METRIC_BOTH)
 
+# scoring a side holds up to max_order + 1 contexts per byte of it: about 320 bytes of memory
+MAX_SIDE_BYTES = 65536
+
 
 class _Thresholds(NamedTuple):
     theta_slr: float
@@ -50,7 +53,7 @@ class ThresholdConfig(_Thresholds):
 
 
 class InvalidPairError(ValueError):
-    """Pair cannot be scored (an empty side); reported, never silently dropped."""
+    """Pair cannot be scored (an empty or too long side); reported, never silently dropped."""
 
     def __init__(self, pair_id: str, reason: str):
         super().__init__(f"pair {pair_id!r}: {reason}")
@@ -131,14 +134,20 @@ def prepare_sides(
     """Both sides of a pair prepared for scoring, (arabic, english).
 
     The Arabic side goes through `arabic_transform`, the English side through
-    the identity transform. An empty side raises InvalidPairError, the Arabic
-    side checked first.
+    the identity transform. An empty side, then a side of more than
+    MAX_SIDE_BYTES prepared bytes, raises InvalidPairError, the Arabic side
+    checked first.
     """
     if not pair.text_a:
         raise InvalidPairError(pair.id, "empty arabic side")
     if not pair.text_e:
         raise InvalidPairError(pair.id, "empty english side")
-    return prepare(pair.text_a, arabic_transform), prepare(pair.text_e, IDENTITY)
+    prep_a, prep_e = prepare(pair.text_a, arabic_transform), prepare(pair.text_e, IDENTITY)
+    if len(prep_a.data) > MAX_SIDE_BYTES:
+        raise InvalidPairError(pair.id, f"arabic side longer than {MAX_SIDE_BYTES} bytes")
+    if len(prep_e.data) > MAX_SIDE_BYTES:
+        raise InvalidPairError(pair.id, f"english side longer than {MAX_SIDE_BYTES} bytes")
+    return prep_a, prep_e
 
 
 def side_bits(model: PpmModel, data: bytes) -> float:

@@ -24,8 +24,9 @@ plain ``bytes`` slice ``seq[j:i]``, and the table is keyed by those slices, whil
 ``contexts()`` and ``stats()`` still speak in int tuples. Each table entry is
 a ``[total, counts]`` list, the shape the coders' private overlays use too;
 ``stats()`` hands out a detached ``ContextStats`` copy of one. ``code_text`` is
-the one escape-chain kernel behind ``ideal_bits`` and ``encode``; ``_observe``
-is the counting step shared by training and ``ModelOverlay.update``.
+the one escape-chain kernel behind ``ideal_bits`` and ``encode``, and
+``decode_text`` walks it again for ``decode``; ``_observe`` is the counting
+step shared by training and ``ModelOverlay.update``.
 
 Entries are shared, so no entry of total 1 is ever counted into. Training
 gives each context seen once the entry ``_ONCE[sym]``, one per symbol, and
@@ -164,6 +165,77 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
     return bits
 
 
+def decode_text(model: "PpmModel", length: int, decoder, adapt: bool = True) -> bytes:
+    """Decode `length` symbols along `code_text`'s chain; `decoder` has
+    `split(total)` -> (target, unit) and `consume(start, freq, unit)`.
+
+    A symbol is learnt at its coding order: it is counted in the contexts it
+    escaped through once known, and in the shorter ones as the walk goes on,
+    in `code_text`'s overlay (a first touch records the bare symbol, a second
+    copies the counts)."""
+    out = bytearray()
+    d, alphabet, base = model.max_order, model.alphabet_size, model._table
+    local: dict = {}  # context -> [total, counts], or the one symbol it has seen
+    for i in range(length):
+        hist = bytes(out[i - d if i > d else 0:i])
+        walked = []  # contexts decoded through, longest first: (context, local entry or None)
+        sym = -1
+        for j in range(len(hist) + 1):
+            ctx = hist[j:]
+            entry = local.get(ctx)
+            if entry is not None and entry.__class__ is not list:
+                # second touch: copy, then count the first
+                stats = base.get(ctx)
+                counts = {} if stats is None else stats[1].copy()
+                counts[entry] = counts.get(entry, 0) + 1
+                entry = local[ctx] = [1 if stats is None else stats[0] + 1, counts]
+            if sym >= 0:  # below the coding order: only count the symbol
+                if entry is None:
+                    local[ctx] = sym
+                else:
+                    counts = entry[1]
+                    counts[sym] = counts.get(sym, 0) + 1
+                    entry[0] += 1
+                continue
+            walked.append((ctx, entry))
+            if entry is None:  # first touch: code from the base table
+                stats = base.get(ctx)
+                if stats is None or not stats[0]:
+                    continue
+                total, counts = stats
+            else:
+                total, counts = entry
+            total *= 2
+            t, r = decoder.split(total)
+            esc_start = total - len(counts)
+            if t >= esc_start:
+                decoder.consume(esc_start, len(counts), r)
+                continue
+            start = 0
+            for s, c in counts.items():
+                width = 2 * c - 1
+                if t < start + width:
+                    sym = s
+                    decoder.consume(start, width, r)
+                    break
+                start += width
+            if not adapt:
+                break
+        if sym < 0:
+            sym, r = decoder.split(alphabet)
+            decoder.consume(sym, 1, r)
+        if adapt:
+            for ctx, entry in walked:
+                if entry is None:
+                    local[ctx] = sym
+                else:
+                    counts = entry[1]
+                    counts[sym] = counts.get(sym, 0) + 1
+                    entry[0] += 1
+        out.append(sym)
+    return bytes(out)
+
+
 _ONCE: dict = {}  # symbol -> the entry its once-seen contexts share, made when training needs it
 
 
@@ -202,7 +274,7 @@ class PpmModel:
     to share between any number of concurrent readers. The snapshot shares
     this model's table until this model trains again, when ``train`` copies
     the table first. Adaptive coding never touches a snapshot: ``code_text``
-    and ``decode`` count each text in a private dict.
+    and ``decode_text`` count each text in a private dict.
     """
 
     __slots__ = ("max_order", "alphabet_size", "_table", "_frozen", "_hash", "_shared")

@@ -53,7 +53,7 @@ def arabic_to_numeric(text: str) -> bytes:
 
 
 def numeric_to_arabic(data: bytes) -> str:
-    """Exact inverse of arabic_to_numeric."""
+    """Exact inverse of arabic_to_numeric; raises TransformError on bytes it never writes."""
     chars = []
     i = 0
     n = len(data)
@@ -65,7 +65,10 @@ def numeric_to_arabic(data: bytes) -> str:
         elif b == _ESCAPE:
             if i + 4 > n:
                 raise TransformError(f"truncated escape sequence at offset {i}")
-            chars.append(chr(int.from_bytes(data[i + 1:i + 4], "big")))
+            cp = int.from_bytes(data[i + 1:i + 4], "big")
+            if cp < _ESCAPE or ARABIC_BLOCK_FIRST <= cp <= ARABIC_BLOCK_LAST or cp > 0x10FFFF:
+                raise TransformError(f"offset {i}: the transform never escapes U+{cp:04X}")
+            chars.append(chr(cp))
             i += 4
         else:
             chars.append(chr(b))

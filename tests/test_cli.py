@@ -427,6 +427,22 @@ class TestFilter:
         assert report["percentages"] == {"accepted": 0.0, "rejected": 0.0}
         assert report["counts"]["invalid"] == report["counts"]["total"] == rows.count("\n")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_side_over_the_limit_is_reported_invalid(self, tmp_path, monkeypatch, jobs):
+        """A side of 65,537 prepared bytes is invalid with its reason; 65,536 is
+        the most a side may have (two bytes a UTF-8 "é", one an Arabic letter)."""
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text(f"a\t{'س' * 65537}\thello\ne\tمرحبا\t{'é' * 32768}a\n"
+                         "ok\tمرحبا\thello\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        args = ["filter", "--pairs", str(pairs), "--out-dir", str(out_dir), "--jobs", jobs]
+        assert main(args) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["invalid"] == [["a", "arabic side longer than 65536 bytes"],
+                                     ["e", "english side longer than 65536 bytes"]]
+        assert report["counts"]["total"] == 3
+
     def test_self_paired_corpus_reports_full_acceptance(self, tmp_path):
         src = tmp_path / "prime.txt"
         src.write_text("shared priming text\n", encoding="utf-8")
@@ -568,6 +584,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("inputs, ignored", [
+        (["--pairs", "pairs", "--arabic", "arabic", "--english", "english"], "--arabic"),
+        (["--pairs", "pairs", "--english", "english"], "--english"),
+        (["--format", "aligned", "--arabic", "arabic", "--english", "english", "--pairs", "pairs"],
+         "--pairs"),
+    ], ids=["tsv-arabic", "tsv-english", "aligned-pairs"])
+    def test_an_input_of_the_other_format_exits_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, inputs, ignored):
+        """A corpus option the chosen --format would not read is refused, not ignored."""
+        (tmp_path / "arabic").write_text("مرحبا\n", encoding="utf-8")
+        (tmp_path / "english").write_text("hello\n", encoding="utf-8")
+        shutil.copy(GOLDEN / "pairs.tsv", tmp_path / "pairs")
+        monkeypatch.chdir(tmp_path)
+
+        def load_corpus(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        assert main(["filter", *inputs, "--out-dir", "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and ignored in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_input_is_config_error(self):
         assert main(["score"]) == EXIT_CONFIG
 
@@ -642,3 +681,18 @@ class TestExitCodes:
     def test_sweep_rejects_unbounded_grid(self, corpus_tsv, capsys, grid):
         assert main(["sweep", "--pairs", str(corpus_tsv), "--grid", grid]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_readme_python_api_example_runs(tmp_path):
+    """The code block under README.md's "## Python API" heading runs as written
+    against src/, outside the checkout, and prints an SLR, a CR and a verdict."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Python API\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    slr, cr, verdict = proc.stdout.split()
+    assert float(slr) >= 1 and float(cr) >= 1, proc.stdout
+    assert verdict in ("Satisfactory", "Unsatisfactory"), proc.stdout

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import bitextverify.corpus as corpus
 from bitextverify.cli import _pair_row, _write_lines
+from bitextverify.coder import ideal_bits
 from bitextverify.corpus import (
     CorpusFormatError,
     EvalReport,
@@ -510,6 +511,62 @@ class TestScorePairsParallel:
         assert len(scored) == len(pairs)
         assert all(item.pair is pair for item, pair in zip(scored, pairs))
         assert scored[-1].error == "empty arabic side"
+
+
+# metrics.MAX_SIDE_BYTES, the most prepared bytes a scored side may have
+SIDE_LIMIT = 65536
+
+
+# a side of n prepared bytes: one byte per Arabic-block letter, two per UTF-8 "é"
+def _arabic_side(n):
+    return "س" * n
+
+
+def _english_side(n):
+    return "é" * (n // 2) + "a" * (n % 2)
+
+
+class TestSideLimit:
+    """A side of more than SIDE_LIMIT prepared bytes makes its pair invalid,
+    after the empty-side checks and the Arabic side first; one at the limit scores."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_at_the_limit_scores(self, filter_models, monkeypatch, jobs):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)  # a pool even on one core
+        model_a, model_e = filter_models
+        pair = SentencePair("1", _arabic_side(SIDE_LIMIT), _english_side(SIDE_LIMIT))
+        data_a, data_e = prepare(pair.text_a, ARABIC_NUMERIC).data, pair.text_e.encode("utf-8")
+        assert len(data_a) == len(data_e) == SIDE_LIMIT
+        (scored,) = score_pairs([pair], model_a, model_e, jobs=jobs)
+        assert scored.error is None
+        assert (scored.score.bits_a, scored.score.bits_e) == (
+            ideal_bits(model_a, data_a), ideal_bits(model_e, data_e))
+        assert (scored.score.len_a, scored.score.len_e) == (65536, 32768)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_over_the_limit_is_invalid(self, filter_models, monkeypatch, jobs):
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)
+        model_a, model_e = filter_models
+        over, short = SIDE_LIMIT + 1, "مرحبا"
+        pairs = [
+            SentencePair("a", _arabic_side(over), "hello"),
+            SentencePair("e", short, _english_side(over)),
+            SentencePair("escaped", "€" * (over // 4 + 1), "hello"),  # 4 bytes a character
+            SentencePair("both", _arabic_side(over), _english_side(over)),
+            SentencePair("empty", _arabic_side(over), ""),
+            SentencePair("ok", short, "hello"),
+        ]
+        scored = score_pairs(pairs, model_a, model_e, jobs=jobs)
+        assert [item.error for item in scored] == [
+            "arabic side longer than 65536 bytes",
+            "english side longer than 65536 bytes",
+            "arabic side longer than 65536 bytes",
+            "arabic side longer than 65536 bytes",
+            "empty english side",
+            None,
+        ]
+        with pytest.raises(InvalidPairError, match="english side longer than 65536 bytes"):
+            score_pair(pairs[1], model_a, model_e)
 
 
 # sides drawn from a few short texts, so most of them repeat; "" makes a pair invalid

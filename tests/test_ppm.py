@@ -623,3 +623,26 @@ def test_context_stats_equality_ignores_insertion_order():
     left = ContextStats({1: 2, 3: 4}, 6)
     right = ContextStats({3: 4, 1: 2}, 6)
     assert left == right
+
+
+_MODEL_INTERNALS = {"_table", "_keys", "_shared", "_frozen", "_hash"}
+
+
+def test_only_ppm_reads_the_model_internals():
+    """ppm.py is the one module that knows the PPMD table and its bookkeeping:
+    no other package module reads a PpmModel private attribute."""
+    import ast
+    from pathlib import Path
+
+    import bitextverify.ppm
+
+    package = Path(bitextverify.ppm.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "coder.py" in modules
+    reads = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in modules if path.name != "ppm.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in _MODEL_INTERNALS
+    ]
+    assert not reads, reads

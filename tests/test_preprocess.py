@@ -80,6 +80,33 @@ def test_round_trip_bijectivity(text):
     assert numeric_to_arabic(arabic_to_numeric(text)) == text
 
 
+# arbitrary bytes, weighted toward the escape byte and the bytes that bound an escaped code point
+transform_bytes = st.lists(
+    st.one_of(st.sampled_from([0x00, 0x06, 0x10, 0x11, 0x7E, 0x7F, 0x80, 0xFF]),
+              st.integers(0, 255)),
+    max_size=40,
+).map(bytes)
+
+
+@given(transform_bytes)
+def test_only_transform_images_decode(data):
+    """Bytes either are an image of arabic_to_numeric, and round-trip, or raise
+    TransformError: an escape of a character written bare (below DEL or in the
+    Arabic block) or of no code point (above U+10FFFF) is rejected."""
+    try:
+        text = numeric_to_arabic(data)
+    except TransformError:
+        return
+    assert arabic_to_numeric(text) == data
+
+
+@pytest.mark.parametrize("data", [b"\x7f\x00\x00a", b"\x7f\x00\x06\x00", b"\x7f\x00\x06\x7f",
+                                  b"\x7f\x11\x00\x00", b"\x7f\xff\xff\xff"])
+def test_escape_the_transform_never_writes_rejected(data):
+    with pytest.raises(TransformError, match="never escapes"):
+        numeric_to_arabic(data)
+
+
 @given(st.text(alphabet=st.characters(min_codepoint=0x0600, max_codepoint=0x067F), min_size=1, max_size=200))
 def test_arabic_block_compresses_vs_utf8(text):
     recoded = arabic_to_numeric(text)
