@@ -32,12 +32,9 @@ def main() -> None:
     started = time.perf_counter()
     corpus = build_corpus(args.sat, args.unsat, seed=args.seed)
 
-    model_a = PpmModel()
-    for line in corpus.priming_a.splitlines():
-        model_a.train(apply_transform(line, ARABIC_NUMERIC))
-    model_e = PpmModel()
-    for line in corpus.priming_e.splitlines():
-        model_e.train(apply_transform(line, IDENTITY))
+    model_a, model_e = PpmModel(), PpmModel()
+    model_a.train_many(apply_transform(s, ARABIC_NUMERIC) for s in corpus.priming_a.splitlines())
+    model_e.train_many(apply_transform(s, IDENTITY) for s in corpus.priming_e.splitlines())
 
     scored = score_pairs(corpus.pairs, model_a.snapshot(), model_e.snapshot())
     scores = [s.score for s in scored]

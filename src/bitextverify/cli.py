@@ -147,19 +147,22 @@ def _pair_row(pair) -> str:
 def cmd_train(args) -> int:
     """Train each line of --input as one text, history reset per line."""
     model = PpmModel(args.order, args.alphabet)
-    n_texts = n_symbols = 0
-    for n_texts, line in enumerate(read_lines(args.input), 1):
-        data = apply_transform(line, args.transform)
-        try:
-            model.train(data)
-        except ValueError as exc:  # a byte outside --alphabet: the fault is in the input
-            raise CorpusFormatError(f"{args.input}:{n_texts}: {exc}") from None
-        n_symbols += len(data)
+    n_texts = 0
+
+    def texts():
+        nonlocal n_texts
+        for n_texts, line in enumerate(read_lines(args.input), 1):
+            yield apply_transform(line, args.transform)
+
+    try:
+        model.train_many(texts())
+    except CorpusFormatError:  # read_lines names the path and line itself
+        raise
+    except ValueError as exc:  # a byte outside --alphabet in the last text read
+        raise CorpusFormatError(f"{args.input}:{n_texts}: {exc}") from None
     model.save(args.out)
-    print(
-        f"trained {n_texts} texts, {n_symbols} symbols; "
-        f"order-0 total {model.stats(()).total}; wrote {args.out}"
-    )
+    total = model.stats(()).total  # the empty context counts every symbol once
+    print(f"trained {n_texts} texts, {total} symbols; order-0 total {total}; wrote {args.out}")
     return EXIT_OK
 
 

@@ -28,13 +28,22 @@ the one escape-chain kernel behind ``ideal_bits`` and ``encode``, and
 ``decode_text`` walks it again for ``decode``; ``_observe`` is the counting
 step shared by training and ``ModelOverlay.update``.
 
+Training counts grams before contexts. A position's gram is its symbol and
+the up to max_order symbols before it, and each (context, symbol) seen at that
+position is a suffix of that gram, its covering gram. ``train_many`` counts
+the distinct grams of all its texts, and ``_observe`` walks each one's
+contexts once, adding its count. A pair's first occurrence is also the first
+occurrence of its covering gram, so walking the grams in first-seen order,
+suffixes shortest first, meets each context and each pair first in the order
+a symbol-by-symbol walk does: the table, its order and its dump are the same.
+
 Entries are shared, so no entry of total 1 is ever counted into. Training
 gives each context seen once the entry ``_ONCE[sym]``, one per symbol, and
 its next observation replaces it. A snapshot shares its source's table until
 the source trains again, and ``loads`` gives the contexts that list the same
 (symbol, count) entries one shared ``[total, counts]`` list; the first
-``train`` after either copies the table, all but its total-1 entries, before
-it writes, so a model never trained again (the CLI's) is never copied.
+``train_many`` after either copies the table, all but its total-1 entries,
+before it writes, so a model never trained again (the CLI's) is never copied.
 SHA-256 comes from the built-in module if it can: hashlib maps OpenSSL.
 """
 
@@ -42,8 +51,9 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from collections import Counter
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -239,32 +249,33 @@ def decode_text(model: "PpmModel", length: int, decoder, adapt: bool = True) -> 
 _ONCE: dict = {}  # symbol -> the entry its once-seen contexts share, made when training needs it
 
 
-def _observe(table: dict, base: dict, seq, start: int, max_order: int) -> None:
-    """Count each symbol seq[i], i >= start, after each of its contexts seq[j:i].
-
-    Contexts go shortest first, so a growing table keeps first-observation
-    order. A context missing from `table` starts as a copy from `base`, or else
-    as the shared `_ONCE[sym]`. An entry of total 1 may be shared, so it is
-    never counted into: the next observation replaces it, first symbol first.
+def _observe(table: dict, base: dict, runs: dict) -> None:
+    """Count each gram's last symbol after each of the gram's suffix contexts,
+    shortest first, as often as `runs` maps the gram. A (context, symbol)'s
+    first occurrence is its covering gram's, so walking `runs` in first-seen
+    order keeps first-observation order. A context missing from `table` starts
+    as a copy from `base`, or as the shared `_ONCE[sym]` if counted once. An
+    entry of total 1 may be shared, so it is replaced, first symbol first.
     """
-    for i in range(start, len(seq)):
-        sym = seq[i]
-        for j in range(i, (i - max_order if i > max_order else 0) - 1, -1):
-            ctx = seq[j:i]
+    for gram, n in runs.items():
+        sym = gram[-1]
+        for j in range(len(gram) - 1, -1, -1):
+            ctx = gram[j:-1]
             entry = table.get(ctx)
             if entry is None:
                 entry = base.get(ctx)
                 if entry is None:
-                    table[ctx] = _ONCE.get(sym) or _ONCE.setdefault(sym, [1, {sym: 1}])
+                    table[ctx] = [n, {sym: n}] if n > 1 else (
+                        _ONCE.get(sym) or _ONCE.setdefault(sym, [1, {sym: 1}]))
                     continue
                 entry = table[ctx] = [entry[0], entry[1].copy()]
             total, counts = entry
             if total == 1:
                 (first,) = counts
-                table[ctx] = [2, {sym: 2} if first == sym else {first: 1, sym: 1}]
+                table[ctx] = [1 + n, {sym: 1 + n} if first == sym else {first: 1, sym: n}]
                 continue
-            counts[sym] = counts.get(sym, 0) + 1
-            entry[0] = total + 1
+            counts[sym] = counts.get(sym, 0) + n
+            entry[0] = total + n
 
 
 class PpmModel:
@@ -331,20 +342,28 @@ class PpmModel:
 
     def train(self, text: Sequence[int]) -> None:
         """Count each symbol of `text` after each of its contexts of order
-        0..max_order, left to right from an empty history.
+        0..max_order, left to right from an empty history."""
+        self.train_many((text,))
 
-        Each call is one text: the history never spans calls, so priming on
-        several documents is independent of their concatenation order.
-        """
+    def train_many(self, texts: Iterable[Sequence[int]]) -> None:
+        """`train` on each text in turn, history reset per text, so priming on
+        several documents is independent of their order. Every text passes the
+        alphabet check before anything is counted: a ValueError leaves the
+        model as it was."""
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; train a mutable model")
-        seq = self._keys(text)
+        d, runs = self.max_order, Counter()
+        for text in texts:
+            seq = self._keys(text)
+            n = len(seq)
+            runs.update(map(seq.__getitem__,
+                            map(slice, chain(repeat(0, d), range(n - d)), range(1, n + 1))))
         self._hash = None
         if self._shared:
             table = self._table
             self._table = {ctx: e if e[0] == 1 else [e[0], e[1].copy()] for ctx, e in table.items()}
             self._shared = False
-        _observe(self._table, {}, seq, 0, self.max_order)
+        _observe(self._table, {}, runs)
 
     def snapshot(self) -> "PpmModel":
         """Frozen view of the current state, safe for shared concurrent scoring.
@@ -470,4 +489,4 @@ class ModelOverlay:
     def update(self, history: Sequence[int], symbol: int) -> None:
         d = self.base.max_order
         seq = self.base._keys([*history[max(0, len(history) - d):], symbol])
-        _observe(self._local, self.base._table, seq, len(seq) - 1, d)
+        _observe(self._local, self.base._table, {seq: 1})

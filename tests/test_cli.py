@@ -37,7 +37,7 @@ REGENERATE = (
 SCORING = ("score", "evaluate", "sweep", "filter", "stats")
 
 
-def _refuse_training(self, text):
+def _refuse_training(self, texts):
     raise AssertionError("a scoring run must load its models, not prime them")
 
 
@@ -167,6 +167,17 @@ class TestTrain:
             f"input error: {src}:2: symbol 195 outside alphabet of size 128\n")
         assert not out.exists()
 
+    def test_byte_outside_alphabet_names_its_line_before_the_last(self, tmp_path, capsys):
+        """Training reads on past no bad line: the error names the first one."""
+        src = tmp_path / "priming.txt"
+        src.write_text("plain ascii\nnaïve\nmore ascii\ncafé\n", encoding="utf-8")
+        out = tmp_path / "m.ppm"
+        argv = ["train", "--input", str(src), "--out", str(out), "--alphabet", "128"]
+        assert main(argv) == EXIT_FORMAT
+        assert capsys.readouterr().err == (
+            f"input error: {src}:2: symbol 195 outside alphabet of size 128\n")
+        assert not out.exists()
+
 
 class TestModelLoading:
     def test_bundled_model_hashes(self):
@@ -195,7 +206,7 @@ class TestModelLoading:
             assert hashlib.sha256(shipped).hexdigest()[:16] == digest, stale
 
     def test_default_filter_never_primes(self, tmp_path, corpus_tsv, monkeypatch):
-        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         out = tmp_path / "out"
         assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out)]) == 0
         models = json.loads((out / "report.json").read_text(encoding="utf-8"))["models"]
@@ -217,7 +228,7 @@ class TestModelLoading:
             assert main(["train", "--input", str(PACKAGE_DATA / f"{language}.txt"),
                          "--order", order, "--transform", side_transform,
                          "--out", models[language]]) == 0
-        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         out = tmp_path / "out"
         assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out),
                      "--transform", transform,
@@ -231,7 +242,7 @@ class TestModelLoading:
                                                 capsys, command):
         """The bundled Arabic model is primed with arabic-numeric; no other transform
         primes one in its place."""
-        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         out = tmp_path / "out"
         extra = ["--out-dir", str(out)] if command == "filter" else []
         assert main([command, "--pairs", str(corpus_tsv), "--transform", IDENTITY,
@@ -246,7 +257,7 @@ class TestModelLoading:
         for name in ("arabic.txt", "english.txt", "english.ppm"):
             shutil.copy(PACKAGE_DATA / name, data / name)
         monkeypatch.setattr(cli, "DATA_DIR", str(data))
-        monkeypatch.setattr(PpmModel, "train", _refuse_training)
+        monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         args = ["filter", "--pairs", str(corpus_tsv), "--out-dir", str(tmp_path / "out")]
         assert main(args) == EXIT_IO
         assert "arabic.ppm" in capsys.readouterr().err

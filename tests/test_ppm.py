@@ -606,6 +606,62 @@ def test_shared_once_seen_entries_count_like_the_reference(order, alphabet, text
     assert _once_entries_intact()
 
 
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(0, 6), alphabet=st.integers(2, 256), data=st.data())
+def test_train_many_counts_like_the_reference(order, alphabet, data):
+    """One train_many call over texts (empty ones, ones shorter than the order,
+    repeats) gives the frozen reference's table, run text by text: contexts,
+    totals and counts in the same order, the dump of per-text train calls with
+    as many distinct entries, and, after loads or a snapshot, training again
+    leaves the shared entries as they were."""
+    spread = data.draw(st.sampled_from([2, 3, alphabet]), "spread")
+    text = st.binary(max_size=3 * order + 4).map(
+        lambda raw: bytes(b % min(spread, alphabet) for b in raw))
+    pool = [b"", *data.draw(st.lists(text, min_size=1, max_size=4), "pool")]
+    texts, more = (data.draw(st.lists(st.sampled_from(pool), max_size=8), name)
+                   for name in ("texts", "more"))
+    model, per_text, reference = PpmModel(order, alphabet), PpmModel(order, alphabet), {b"": [0, {}]}
+    model.train_many(iter(texts))
+    for text in texts:
+        per_text.train(text)
+        _ref_observe(reference, {}, text, 0, order)
+    assert _layout(model._table) == _layout(reference)
+    assert model.dumps() == per_text.dumps()
+    assert len({id(e) for e in model._table.values()}) == len(
+        {id(e) for e in per_text._table.values()})
+    assert _once_entries_intact()
+    before = _layout(reference)
+    snap, loaded = model.snapshot(), PpmModel.loads(model.dumps())
+    shared = [(entry, entry[0], list(entry[1].items())) for entry in loaded._table.values()]
+    for trained in (model, loaded):
+        trained.train_many(more)
+    for text in more:
+        _ref_observe(reference, {}, text, 0, order)
+    assert _layout(model._table) == _layout(loaded._table) == _layout(reference)
+    assert _layout(snap._table) == before
+    assert all(entry[0] == total and list(entry[1].items()) == counts
+               for entry, total, counts in shared)
+    assert _once_entries_intact()
+
+
+@pytest.mark.parametrize("kind", ["trained", "snapshotted", "loaded"])
+@pytest.mark.parametrize("bad_at", [0, 1, 2])
+def test_train_many_with_a_bad_text_leaves_the_model_as_it_was(kind, bad_at):
+    """A symbol outside the alphabet in any text raises before anything is counted."""
+    model = PpmModel(2, 128)
+    model.train(b"abcab")
+    if kind == "loaded":
+        model = PpmModel.loads(model.dumps())
+    snap = model.snapshot() if kind == "snapshotted" else None
+    data, digest, shared = model.dumps(), model.config_hash(), model._shared
+    texts = [b"abc", b"bca", b"cab"]
+    texts[bad_at] = b"ab\xc8"
+    with pytest.raises(ValueError, match="symbol 200 outside alphabet of size 128"):
+        model.train_many(iter(texts))
+    assert (model.dumps(), model._hash, model._shared) == (data, digest, shared)
+    assert snap is None or snap.dumps() == data
+
+
 def test_bundled_priming_shares_its_once_seen_entries():
     """A model trained on the bundled Arabic priming text keeps one list per
     context seen more than once: 6,188 contexts, 4,269 of them seen once, which
