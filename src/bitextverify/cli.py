@@ -23,7 +23,7 @@ from .corpus import (
     threshold_matrix,
 )
 from .metrics import METRIC_MODES, PairScore, ThresholdConfig
-from .ppm import DEFAULT_ALPHABET_SIZE, DEFAULT_MAX_ORDER, PpmModel
+from .ppm import DEFAULT_MAX_ORDER, PpmModel
 from .preprocess import ARABIC_NUMERIC, IDENTITY, TRANSFORM_IDS, apply_transform
 
 EXIT_OK = 0
@@ -83,9 +83,6 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
     """(snapshot, id) per side: the model file if one is given, else the shipped
     dump data/<language>.ppm. Scoring never primes; only `train` does."""
-    if not args.model_a and args.transform != ARABIC_NUMERIC:
-        raise ValueError(f"--transform {args.transform} needs --model-a: the bundled "
-                         f"Arabic model is primed with --transform {ARABIC_NUMERIC}")
 
     def side(path, language: str) -> tuple[PpmModel, str]:
         model = PpmModel.load(path or os.path.join(DATA_DIR, f"{language}.ppm"))
@@ -97,6 +94,9 @@ def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
 def _load_pairs(args):
     if args.jobs < 1:  # before any input is read; pool_size checks again for library callers
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if not args.model_a and args.transform != ARABIC_NUMERIC:
+        raise ValueError(f"--transform {args.transform} needs --model-a: the bundled "
+                         f"Arabic model is primed with --transform {ARABIC_NUMERIC}")
     if args.format == "aligned":
         if args.pairs:
             raise ValueError("--pairs is read only with --format tsv")
@@ -146,7 +146,7 @@ def _pair_row(pair) -> str:
 
 def cmd_train(args) -> int:
     """Train each line of --input as one text, history reset per line."""
-    model = PpmModel(args.order, args.alphabet)
+    model = PpmModel(args.order)
     n_texts = 0
 
     def texts():
@@ -154,12 +154,7 @@ def cmd_train(args) -> int:
         for n_texts, line in enumerate(read_lines(args.input), 1):
             yield apply_transform(line, args.transform)
 
-    try:
-        model.train_many(texts())
-    except CorpusFormatError:  # read_lines names the path and line itself
-        raise
-    except ValueError as exc:  # a byte outside --alphabet in the last text read
-        raise CorpusFormatError(f"{args.input}:{n_texts}: {exc}") from None
+    model.train_many(texts())
     model.save(args.out)
     total = model.stats(()).total  # the empty context counts every symbol once
     print(f"trained {n_texts} texts, {total} symbols; order-0 total {total}; wrote {args.out}")
@@ -168,8 +163,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     _, scored = _score_corpus(args, ThresholdConfig(args.theta_slr, args.theta_cr))
-    scores = [s.score for s in scored if s.score]
-    rows = [PairScore.TSV_HEADER] + [score.tsv_row() for score in scores]
+    rows = [PairScore.TSV_HEADER] + [s.score.tsv_row() for s in scored if s.score]
     if args.out:
         _write_lines(args.out, rows)
     else:
@@ -182,10 +176,6 @@ def cmd_score(args) -> int:
         print(f"{len(invalid)} invalid pairs (use --invalid-out to capture):", file=sys.stderr)
         for line in invalid:
             print("  " + line, file=sys.stderr)
-    if args.scatter:
-        _write_lines(args.scatter, ["len_a\tlen_e\tbits_a\tbits_e\tverdict"] + [
-            f"{s.len_a}\t{s.len_e}\t{s.bits_a:.4f}\t{s.bits_e:.4f}\t{s.verdict}" for s in scores
-        ])
     return EXIT_OK
 
 
@@ -280,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--alphabet", type=int, default=DEFAULT_ALPHABET_SIZE)
     p.add_argument("--transform", choices=TRANSFORM_IDS, default=IDENTITY)
     p.set_defaults(func=cmd_train)
 
@@ -303,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", parents=[shared, thresholds], help="score pairs to a per-pair TSV")
     p.add_argument("--out", help="output TSV (default: stdout)")
     p.add_argument("--invalid-out", help="TSV listing unscorable pairs")
-    p.add_argument("--scatter", help="also write (len_a, len_e, bits_a, bits_e, verdict) TSV")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", parents=[shared, thresholds],

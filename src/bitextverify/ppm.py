@@ -465,7 +465,8 @@ class PpmModel:
     @classmethod
     def load(cls, path) -> "PpmModel":
         with open(path, "rb") as fh:
-            return cls.loads(fh.read())
+            data = fh.read(len(_MAGIC))  # refuse a file that is not a dump before reading on
+            return cls.loads(data + fh.read() if data == _MAGIC else data)
 
     def config_hash(self) -> bytes:
         """8-byte digest over the full model state (order, alphabet, statistics):

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -156,28 +157,6 @@ class TestTrain:
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
 
-    def test_byte_outside_alphabet_names_file_and_line(self, tmp_path, capsys):
-        """A priming byte the alphabet cannot hold is an input error at its line."""
-        src = tmp_path / "priming.txt"
-        src.write_text("plain ascii\nnaïve\n", encoding="utf-8")
-        out = tmp_path / "m.ppm"
-        argv = ["train", "--input", str(src), "--out", str(out), "--alphabet", "128"]
-        assert main(argv) == EXIT_FORMAT
-        assert capsys.readouterr().err == (
-            f"input error: {src}:2: symbol 195 outside alphabet of size 128\n")
-        assert not out.exists()
-
-    def test_byte_outside_alphabet_names_its_line_before_the_last(self, tmp_path, capsys):
-        """Training reads on past no bad line: the error names the first one."""
-        src = tmp_path / "priming.txt"
-        src.write_text("plain ascii\nnaïve\nmore ascii\ncafé\n", encoding="utf-8")
-        out = tmp_path / "m.ppm"
-        argv = ["train", "--input", str(src), "--out", str(out), "--alphabet", "128"]
-        assert main(argv) == EXIT_FORMAT
-        assert capsys.readouterr().err == (
-            f"input error: {src}:2: symbol 195 outside alphabet of size 128\n")
-        assert not out.exists()
-
 
 class TestModelLoading:
     def test_bundled_model_hashes(self):
@@ -329,12 +308,14 @@ class TestScore:
         assert outs[0] == outs[1]
 
     def test_scatter_export(self, tmp_path, corpus_tsv):
+        """The README's scatter recipe, `cut -f2-5,8` of the score TSV, gives one
+        (len_a, len_e, bits_a, bits_e, verdict) row per valid pair."""
         out = tmp_path / "s.tsv"
-        scatter = tmp_path / "scatter.tsv"
-        main(["score", "--pairs", str(corpus_tsv), "--out", str(out), "--scatter", str(scatter)])
-        lines = scatter.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "len_a\tlen_e\tbits_a\tbits_e\tverdict"
-        assert len(lines) == 5
+        assert main(["score", "--pairs", str(corpus_tsv), "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        scatter = ["\t".join(row[1:5] + row[7:8]) for row in rows]
+        assert scatter[0] == "len_a\tlen_e\tbits_a\tbits_e\tverdict"
+        assert len(scatter) == 5
 
     def test_aligned_input(self, tmp_path):
         ar = tmp_path / "x.ar"
@@ -554,9 +535,21 @@ class TestParser:
         *(pytest.param(command, "--order", id=f"{command}-order") for command in SCORING),
     ])
     def test_only_train_takes_alphabet(self, tmp_path, corpus_tsv, command, flag, capsys):
-        """--alphabet and --order shape a model, so only train takes them."""
+        """--alphabet and --order shape a model, so no scoring command takes them."""
         extra = ["--out-dir", str(tmp_path / "out")] if command == "filter" else []
         assert main([command, "--pairs", str(corpus_tsv), flag, "3", *extra]) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("train", "--alphabet", id="train-alphabet"),
+        pytest.param("score", "--scatter", id="score-scatter"),
+    ])
+    def test_removed_options_are_refused(self, tmp_path, corpus_tsv, command, flag, capsys):
+        """A model of another alphabet comes from the library, and `cut -f2-5,8` of the
+        score TSV gives the old --scatter columns."""
+        inputs = (["--input", str(corpus_tsv), "--out", str(tmp_path / "m.ppm")]
+                  if command == "train" else ["--pairs", str(corpus_tsv)])
+        assert main([command, *inputs, flag, "3"]) == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
@@ -586,7 +579,9 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [["sweep", "--grid", "nan"], ["filter", "--jobs", "0"],
-                                         ["score", "--jobs", "-1"]], ids=" ".join)
+                                         ["score", "--jobs", "-1"],
+                                         ["score", "--transform", IDENTITY],
+                                         ["filter", "--transform", IDENTITY]], ids=" ".join)
     def test_bad_option_exits_before_any_input_is_read(self, tmp_path, capsys, command):
         args = [*command, "--pairs", str(tmp_path / "missing.tsv")]
         if command[0] == "filter":
@@ -629,6 +624,20 @@ class TestExitCodes:
         path = tmp_path / "bad.ppm"
         path.write_bytes(data)
         assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero and RLIMIT_AS")
+    def test_endless_model_file_is_refused_after_its_first_bytes(self, tmp_path, corpus_tsv):
+        """--model-a /dev/zero is no dump: refused after 5 bytes, not read until memory
+        runs out. The child caps its own address space at 600 MB so that reading on
+        fails fast with MemoryError (exit 1) instead of exhausting the machine."""
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (600 << 20,) * 2); "
+                 "from bitextverify.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", child, "score", "--pairs", str(corpus_tsv),
+                               "--model-a", "/dev/zero"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_CONFIG, "configuration error: not a PPMV1 model dump\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,
@@ -707,3 +716,20 @@ def test_readme_python_api_example_runs(tmp_path):
     slr, cr, verdict = proc.stdout.split()
     assert float(slr) >= 1 and float(cr) >= 1, proc.stdout
     assert verdict in ("Satisfactory", "Unsatisfactory"), proc.stdout
+
+
+def test_readme_commands_parse():
+    """Each `bitextverify ...` line of README.md's bash blocks, continuation lines
+    joined, parses as written, and every command has an example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```bash\n")[1:]]
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("bitextverify ")]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+    assert {argv[1] for argv in commands} == {"train", *SCORING}

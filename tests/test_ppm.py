@@ -1,7 +1,9 @@
 import hashlib
 import math
+import os
 import pickle
 import struct
+import threading
 from fractions import Fraction
 
 import pytest
@@ -375,6 +377,26 @@ class TestSerialization:
         path = tmp_path / "model.ppm"
         model.save(path)
         assert PpmModel.load(path) == model
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_load_reads_a_dump_through_a_pipe(self, tmp_path):
+        """A dump that arrives a byte at a time loads: the magic check waits for 5 bytes."""
+        model = PpmModel(2, 64)
+        model.train([1, 2, 3, 1, 2])
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb", buffering=0) as fh:
+                for byte in model.dumps():
+                    fh.write(bytes([byte]))
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert PpmModel.load(path) == model
+        finally:
+            writer.join()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
