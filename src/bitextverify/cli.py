@@ -157,7 +157,7 @@ def cmd_train(args) -> int:
     model.train_many(texts())
     model.save(args.out)
     total = model.stats(()).total  # the empty context counts every symbol once
-    print(f"trained {n_texts} texts, {total} symbols; order-0 total {total}; wrote {args.out}")
+    print(f"trained {n_texts} texts, {total} symbols; wrote {args.out}")
     return EXIT_OK
 
 

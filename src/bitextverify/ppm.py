@@ -67,6 +67,9 @@ except ImportError:
         from hashlib import sha256
 
 DEFAULT_MAX_ORDER = 5
+# Scoring records up to max_order + 1 contexts per side byte, training as many per
+# byte: a random side at the size cap took 96 MB to score at order 16, 200 MB at 32.
+MAX_ORDER = 16
 DEFAULT_ALPHABET_SIZE = 256
 
 _MAGIC = b"PPMV1"
@@ -292,8 +295,8 @@ class PpmModel:
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER,
                  alphabet_size: int = DEFAULT_ALPHABET_SIZE):
-        if not isinstance(max_order, int) or not 0 <= max_order <= 255:
-            raise ValueError(f"max_order must be an integer in 0..255, got {max_order!r}")
+        if not isinstance(max_order, int) or not 0 <= max_order <= MAX_ORDER:
+            raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
         if not isinstance(alphabet_size, int) or not 2 <= alphabet_size <= 256:
             raise ValueError(f"alphabet_size must be an integer in 2..256, got {alphabet_size!r}")
         self.max_order = max_order
@@ -400,9 +403,9 @@ class PpmModel:
     @classmethod
     def loads(cls, data: bytes) -> "PpmModel":
         """Parse a dump of dumps(). Raises ValueError on a truncated dump, or on one
-        that breaks what the estimator relies on: each context at most max_order
-        long and listed once, each symbol in the alphabet and listed once per
-        context, each count at least 1."""
+        that breaks what the estimator relies on: max_order at most MAX_ORDER, each
+        context at most max_order long and listed once, each symbol in the alphabet
+        and listed once per context, each count at least 1."""
         data = bytes(data)  # no copy of bytes; slices of a bytearray cannot be dict keys
         if data[:5] != _MAGIC:
             raise ValueError("not a PPMV1 model dump")

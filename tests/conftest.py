@@ -4,6 +4,7 @@ from itertools import chain
 import pytest
 
 from bitextverify.ppm import PpmModel
+from bitextverify.preprocess import ARABIC_BLOCK_FIRST, ARABIC_BLOCK_LAST, TransformError
 
 # step kinds of the reference escape-chain walk
 SYMBOL = "symbol"
@@ -101,6 +102,57 @@ def _ref_loads(data):
         raise ValueError(f"corrupt PPMV1 model dump: a symbol outside alphabet {alphabet_size}")
     contexts = [(tuple(ctx), total, list(counts.items())) for ctx, (total, counts) in table.items()]
     return max_order, alphabet_size, contexts, bool(n_contexts and data[first] == 0)
+
+
+# The frozen per-character arabic-numeric recoding that the charmap codec in
+# preprocess replaced, kept as it was: the same mapping, escapes and messages.
+_BLOCK_OFFSET = 0x80  # block maps onto bytes 0x80..0xFF
+_ESCAPE = 0x7F  # DEL introduces an escaped 3-byte big-endian code point
+
+
+def _ref_arabic_to_numeric(text: str) -> bytes:
+    """Recode text so the Arabic block costs one byte per character.
+
+    Characters in U+0600..U+067F become the single byte cp - 0x0600 + 0x80;
+    ASCII below DEL passes through; every other character (DEL included)
+    becomes 0x7F followed by its code point as 3 big-endian bytes. Total and
+    bijective on its image.
+    """
+    out = bytearray()
+    for ch in text:
+        cp = ord(ch)
+        if ARABIC_BLOCK_FIRST <= cp <= ARABIC_BLOCK_LAST:
+            out.append(cp - ARABIC_BLOCK_FIRST + _BLOCK_OFFSET)
+        elif cp < _ESCAPE:
+            out.append(cp)
+        else:
+            out.append(_ESCAPE)
+            out += cp.to_bytes(3, "big")
+    return bytes(out)
+
+
+def _ref_numeric_to_arabic(data: bytes) -> str:
+    """Exact inverse of arabic_to_numeric; raises TransformError on bytes it never writes."""
+    chars = []
+    i = 0
+    n = len(data)
+    while i < n:
+        b = data[i]
+        if b >= _BLOCK_OFFSET:
+            chars.append(chr(b - _BLOCK_OFFSET + ARABIC_BLOCK_FIRST))
+            i += 1
+        elif b == _ESCAPE:
+            if i + 4 > n:
+                raise TransformError(f"truncated escape sequence at offset {i}")
+            cp = int.from_bytes(data[i + 1:i + 4], "big")
+            if cp < _ESCAPE or ARABIC_BLOCK_FIRST <= cp <= ARABIC_BLOCK_LAST or cp > 0x10FFFF:
+                raise TransformError(f"offset {i}: the transform never escapes U+{cp:04X}")
+            chars.append(chr(cp))
+            i += 4
+        else:
+            chars.append(chr(b))
+            i += 1
+    return "".join(chars)
 
 
 @pytest.fixture(scope="session")

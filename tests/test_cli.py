@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bitextverify import cli
 from bitextverify import corpus
 from bitextverify.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, fmt_pct, main, parse_grid
-from bitextverify.ppm import PpmModel
+from bitextverify.ppm import MAX_ORDER, PpmModel
 from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
 
 AR_LINE = "ذهب رجل الى السوق ليشتري الخبز والفاكهة."
@@ -113,7 +113,7 @@ class TestTrain:
         out = tmp_path / "model.ppm"
         assert main(["train", "--input", str(src), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "2 texts" in printed and "26 symbols" in printed and "order-0 total 26" in printed
+        assert "2 texts" in printed and "26 symbols" in printed
         model = PpmModel.load(out)
         assert model.stats(()).total == 26
 
@@ -624,6 +624,37 @@ class TestExitCodes:
         path = tmp_path / "bad.ppm"
         path.write_bytes(data)
         assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
+
+    def test_train_order_above_the_cap_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "priming.txt"
+        src.write_text("line one here\n", encoding="utf-8")
+        out = tmp_path / "m.ppm"
+        argv = ["train", "--input", str(src), "--out", str(out), "--order", str(MAX_ORDER + 1)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"max_order must be an integer in 0..16, got {MAX_ORDER + 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_order_byte_above_the_cap_is_config_error(self, tmp_path, corpus_tsv, capsys):
+        """The shipped english.ppm with the top bit of its order byte flipped (5 -> 133)
+        lists no context longer than 5, so only the order cap refuses it."""
+        data = bytearray((PACKAGE_DATA / "english.ppm").read_bytes())
+        data[5] ^= 0x80
+        path = tmp_path / "flipped.ppm"
+        path.write_bytes(data)
+        assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("configuration error: corrupt PPMV1 model dump: "
+                                           "max_order must be an integer in 0..16, got 133\n")
+
+    def test_order_at_the_cap_trains_and_scores(self, tmp_path, corpus_tsv):
+        src = tmp_path / "priming.txt"
+        src.write_text(f"{EN_LINE}\nThe weather today is clear.\n", encoding="utf-8")
+        model = tmp_path / "m16.ppm"
+        assert main(["train", "--input", str(src), "--out", str(model), "--order", "16"]) == 0
+        assert PpmModel.load(model).max_order == MAX_ORDER == 16
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--pairs", str(corpus_tsv), "--model-e", str(model),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero and RLIMIT_AS")
     def test_endless_model_file_is_refused_after_its_first_bytes(self, tmp_path, corpus_tsv):

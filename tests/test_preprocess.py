@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bitextverify.preprocess import (
+    ARABIC_BLOCK_FIRST,
+    ARABIC_BLOCK_LAST,
     ARABIC_NUMERIC,
     IDENTITY,
     TransformError,
@@ -13,6 +15,8 @@ from bitextverify.preprocess import (
     numeric_to_arabic,
     prepare,
 )
+
+from conftest import _ref_arabic_to_numeric, _ref_numeric_to_arabic
 
 
 def test_char_length_counts_code_points():
@@ -98,6 +102,39 @@ def test_only_transform_images_decode(data):
     except TransformError:
         return
     assert arabic_to_numeric(text) == data
+
+
+# any code point, lone surrogates included, weighted toward the table's edges:
+# DEL, the bytes above ASCII, the two noncharacters that end the BMP (U+FFFE is
+# charmap's "unmapped" marker), the Arabic block and the astral planes
+any_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x00, max_codepoint=0x10FFFF, exclude_categories=()),
+        st.sampled_from(["\x7e", "\x7f", "\ud800", "\udfff", "\ufffe", "\uffff"]),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+        st.characters(min_codepoint=ARABIC_BLOCK_FIRST, max_codepoint=ARABIC_BLOCK_LAST),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+    ),
+    max_size=60,
+)
+
+
+@given(any_text)
+def test_codec_matches_the_frozen_recoding_on_text(text):
+    assert arabic_to_numeric(text) == _ref_arabic_to_numeric(text)
+
+
+def _decoded_or_error(decode, data):
+    try:
+        return decode(data)
+    except TransformError as exc:
+        return TransformError, str(exc)
+
+
+@given(st.one_of(transform_bytes, any_text.map(_ref_arabic_to_numeric)))
+def test_codec_matches_the_frozen_recoding_on_bytes(data):
+    """The same string, or TransformError with the same message, on any bytes."""
+    assert _decoded_or_error(numeric_to_arabic, data) == _decoded_or_error(_ref_numeric_to_arabic, data)
 
 
 @pytest.mark.parametrize("data", [b"\x7f\x00\x00a", b"\x7f\x00\x06\x00", b"\x7f\x00\x06\x7f",
