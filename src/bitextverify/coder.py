@@ -166,10 +166,13 @@ def decode(model: PpmModel, blob: EncodedBlob, adapt: bool = True) -> bytes:
     return decode_text(model, blob.length, _RangeDecoder(blob.payload), adapt)
 
 
-def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True) -> float:
+def ideal_bits(model: PpmModel, text: Sequence[int], adapt: bool = True,
+               cuts: Sequence[int] | None = None) -> float | list[float]:
     """Ideal code length of `text` in bits under a model snapshot.
 
     Sum over symbols of -log2 p along the estimation chain; with ``adapt`` on,
-    a private overlay is updated between symbols. Divide by 8 for bytes.
+    a private overlay is updated between symbols. Divide by 8 for bytes. With
+    ``cuts``, strictly ascending prefix lengths, the code length of each of
+    those prefixes of `text` instead, float for float, from one walk.
     """
-    return code_text(model, text, adapt)
+    return code_text(model, text, adapt, None, cuts)

@@ -6,6 +6,8 @@ import os
 import signal
 import warnings
 from array import array
+from functools import partial
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .metrics import (
@@ -64,13 +66,22 @@ def load_corpus(path, fmt: str = "tsv", english_path=None) -> list[SentencePair]
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def read_lines(path) -> Iterator[str]:
+# the most bytes a corpus line may hold before its "\n": reading one costs at most this much
+MAX_LINE_BYTES = 1 << 20
+
+
+def read_lines(path, limit: int | None = None) -> Iterator[str]:
     r"""Lines of any UTF-8 text input, corpus or priming file: split on "\n" only, each
     without one trailing "\r\n" or "\n". A lone "\r", U+2028 or "\x85" stays in its line.
     A byte-order mark opening the file is dropped; a U+FEFF anywhere else is text.
-    Invalid UTF-8 raises CorpusFormatError naming the path and line."""
+    Invalid UTF-8, or with `limit` a line of more than `limit` bytes before its
+    "\n", raises CorpusFormatError naming the path and line; no more than
+    limit + 1 bytes of a line are read."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        raws = fh if limit is None else iter(partial(fh.readline, limit + 1), b"")
+        for lineno, raw in enumerate(raws, 1):
+            if limit is not None and len(raw) > limit and not raw.endswith(b"\n"):
+                raise CorpusFormatError(f"{path}:{lineno}: line longer than {limit} bytes")
             try:
                 line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
@@ -80,10 +91,10 @@ def read_lines(path) -> Iterator[str]:
 
 def load_tsv(path) -> list[SentencePair]:
     r"""TSV columns: id, arabic, english, then optional label and category. No
-    field may end in "\r"."""
+    field may end in "\r", and no line may exceed MAX_LINE_BYTES."""
     pairs: list[SentencePair] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path, MAX_LINE_BYTES), 1):
         if not line:
             continue
         cols = line.split("\t")
@@ -111,9 +122,10 @@ def load_tsv(path) -> list[SentencePair]:
 
 def load_aligned(path_a, path_e) -> list[SentencePair]:
     r"""Zip two line-aligned files; ids are 1-based line numbers. A line may hold
-    no tab and may not end in "\r": it must fit in one field of a TSV output row."""
-    lines_a = list(read_lines(path_a))
-    lines_e = list(read_lines(path_e))
+    no tab and may not end in "\r": it must fit in one field of a TSV output row.
+    No line may exceed MAX_LINE_BYTES."""
+    lines_a = list(read_lines(path_a, MAX_LINE_BYTES))
+    lines_e = list(read_lines(path_e, MAX_LINE_BYTES))
     if len(lines_a) != len(lines_e):
         raise CorpusFormatError(
             f"aligned files differ in length: {path_a} has {len(lines_a)} lines, "
@@ -138,31 +150,45 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def pool_size(jobs: int, n_tasks: int, cores: int) -> int:
-    """Scoring processes for `jobs` requested over `n_tasks` distinct sides to
-    score: at most one per usable core and one per task, and 1 (no child) when
-    there is nothing to score."""
+def pool_size(jobs: int, n_walks: int, cores: int) -> int:
+    """Scoring processes for `jobs` requested over `n_walks` walks to score: at
+    most one per usable core and one per walk, and 1 (no child) when there is
+    nothing to score."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, cores, n_tasks))
+    return max(1, min(jobs, cores, n_walks))
 
 
-def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> list[float]:
-    """Code length of each (side, prepared bytes) task, side 0 Arabic, 1 English,
-    over this process and workers - 1 forked children.
+def _walks(order: list[tuple[int, bytes]]) -> list[tuple[int, bytes, tuple[int, ...]]]:
+    """Sorted distinct (side, prepared bytes) tasks as walks (side, bytes, cuts):
+    a task that is a prefix of the next task of its side joins that task's walk
+    as the cut of its length, so the cuts, walk by walk, list every task in order."""
+    walks, cuts = [], []
+    for (side, data), (next_side, next_data) in zip(order, [*order[1:], (-1, b"")]):
+        cuts.append(len(data))
+        if side != next_side or not next_data.startswith(data):
+            walks.append((side, data, tuple(cuts)))
+            cuts = []
+    return walks
 
-    Child w scores tasks[w::workers] with the snapshots it inherited and writes
-    the floats to a pipe as raw doubles, which is float-exact; this process
-    scores tasks[0::workers] meanwhile. A share whose child replies short or
-    exits non-zero is scored again here, so its error is raised here as itself.
-    Every child is reaped and every pipe closed; when this process raises, the
-    children are killed first instead of waited for.
+
+def _score_forked(snapshots, walks: list[tuple], workers: int) -> list[list[float]]:
+    """Per walk (side, bytes, cuts), side 0 Arabic, 1 English, the code length of
+    the bytes' prefix at each cut, from one walk each, over this process and
+    workers - 1 forked children.
+
+    Child w scores walks[w::workers] with the snapshots it inherited and writes
+    one float per cut to a pipe as raw doubles, which is float-exact; this
+    process scores walks[0::workers] meanwhile. A share whose child replies
+    short or exits non-zero is scored again here, so its error is raised here
+    as itself. Every child is reaped and every pipe closed; when this process
+    raises, the children are killed first instead of waited for.
     """
 
-    def share_bits(w: int) -> list[float]:
-        return [side_bits(snapshots[side], data) for side, data in tasks[w::workers]]
+    def share_bits(w: int) -> list[list[float]]:
+        return [side_bits(snapshots[side], data, cuts) for side, data, cuts in walks[w::workers]]
 
-    bits = [0.0] * len(tasks)
+    bits: list = [None] * len(walks)
     pipes, pids = [], []
     try:
         for w in range(1, workers):
@@ -174,7 +200,7 @@ def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> li
                         for pipe in pipes:  # else a write to a closed reader blocks, not fails
                             pipe.close()
                         with open(write, "wb", closefd=False) as pipe:
-                            pipe.write(array("d", share_bits(w)))
+                            pipe.write(array("d", chain.from_iterable(share_bits(w))))
                         os._exit(0)
                     finally:
                         os._exit(1)
@@ -192,9 +218,12 @@ def _score_forked(snapshots, tasks: list[tuple[int, bytes]], workers: int) -> li
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for w, reply, status in zip(range(1, workers), replies, statuses):
-        if status or len(reply) != 8 * len(bits[w::workers]):
-            reply = share_bits(w)
-        bits[w::workers] = array("d", reply)
+        lengths = [len(cuts) for _, _, cuts in walks[w::workers]]
+        if status or len(reply) != 8 * sum(lengths):
+            bits[w::workers] = share_bits(w)
+        else:
+            floats = iter(array("d", reply))
+            bits[w::workers] = [list(islice(floats, n)) for n in lengths]
     return bits
 
 
@@ -208,41 +237,56 @@ def score_pairs(
 ) -> list[ScoredPair]:
     """Score every pair, preserving input order; invalid pairs carry their reason.
 
-    Each distinct side is scored once. A side's code length depends only on
-    its prepared bytes and its language's frozen snapshot, since every
-    sentence adapts a private overlay, so a repeated side reuses its float and
-    each result equals score_pair() on that pair.
+    Each chain of prefix-related sides is walked once. A side's code length
+    depends only on its prepared bytes and its language's frozen snapshot,
+    since every sentence adapts a private overlay, and coding is causal, so a
+    side that begins a longer one takes its float from that one's walk (see
+    _walks), and each result equals score_pair() on that pair.
 
-    Every pair is first checked for an empty side (Arabic first) and both
-    sides are prepared; the distinct (side, bytes) tasks are kept in
-    first-seen order, for this call only and at most two per pair, and split
-    over pool_size() processes by _score_forked, one where os.fork does not
-    exist. The PairScores are built here around the caller's own pairs, so
-    every path gives identical results.
+    Each distinct (arabic, english) text pair is checked (empty sides first,
+    Arabic first) and prepared once, each distinct text once per language:
+    both transforms are injective, so equal texts give equal bytes. The walks
+    are split over pool_size() processes by _score_forked, one where os.fork
+    does not exist. A PairScore's fields are computed once per distinct text
+    pair and built around each of the caller's own pairs.
     """
     if thresholds is None:
         thresholds = ThresholdConfig()
-    tasks: dict[tuple[int, bytes], int] = {}  # (side, prepared bytes) -> task index
-    plan: list[tuple | str] = []  # per pair: (len_a, len_e, task_a, task_e) or the reason
+    slots: dict[tuple[str, str], int] = {}  # (text_a, text_e) -> index in `steps`
+    steps: list = []  # per distinct text pair: (prep_a, prep_e), or the reason it is invalid
+    plan = []  # per pair: its index in `steps`
+    known: tuple[dict, dict] = ({}, {})  # per language: text -> PreparedText
     for pair in pairs:
-        try:
-            prep_a, prep_e = prepare_sides(pair, arabic_transform)
-        except InvalidPairError as exc:
-            plan.append(exc.reason)
-            continue
-        task_a = tasks.setdefault((0, prep_a.data), len(tasks))
-        task_e = tasks.setdefault((1, prep_e.data), len(tasks))
-        plan.append((prep_a.char_length, prep_e.char_length, task_a, task_e))
-    workers = pool_size(jobs, len(tasks), usable_cores() if hasattr(os, "fork") else 1)
-    bits = _score_forked((model_a.snapshot(), model_e.snapshot()), list(tasks), workers)
+        key = (pair.text_a, pair.text_e)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(steps)
+            try:
+                steps.append(prepare_sides(pair, arabic_transform, known))
+            except InvalidPairError as exc:
+                steps.append(exc.reason)
+        plan.append(slot)
+    del slots, known  # this call peaks while it builds the results: free what is done
+    order = sorted({(side, prep.data) for step in steps if step.__class__ is not str
+                    for side, prep in enumerate(step)})
+    walks = _walks(order)
+    workers = pool_size(jobs, len(walks), usable_cores() if hasattr(os, "fork") else 1)
+    per_walk = _score_forked((model_a.snapshot(), model_e.snapshot()), walks, workers)
+    bits = dict(zip(order, chain.from_iterable(per_walk)))
+    for k, step in enumerate(steps):
+        if step.__class__ is not str:
+            prep_a, prep_e = step
+            steps[k] = pair_score(  # every field but pair_id
+                "", prep_a.char_length, prep_e.char_length,
+                bits[0, prep_a.data], bits[1, prep_e.data], thresholds)[1:]
+    del order, walks, per_walk, bits
     results = []
-    for pair, step in zip(pairs, plan):
-        if isinstance(step, str):
+    for pair, slot in zip(pairs, plan):
+        step = steps[slot]
+        if step.__class__ is str:
             results.append(ScoredPair(pair, None, step))
         else:
-            len_a, len_e, task_a, task_e = step
-            score = pair_score(pair.id, len_a, len_e, bits[task_a], bits[task_e], thresholds)
-            results.append(ScoredPair(pair, score))
+            results.append(ScoredPair(pair, PairScore(pair.id, *step)))
     return results
 
 

@@ -129,20 +129,26 @@ class PairScore(NamedTuple):
 
 
 def prepare_sides(
-    pair: "SentencePair", arabic_transform: str = ARABIC_NUMERIC
+    pair: "SentencePair", arabic_transform: str = ARABIC_NUMERIC,
+    known: tuple[dict, dict] | None = None,
 ) -> tuple[PreparedText, PreparedText]:
     """Both sides of a pair prepared for scoring, (arabic, english).
 
     The Arabic side goes through `arabic_transform`, the English side through
     the identity transform. An empty side, then a side of more than
     MAX_SIDE_BYTES prepared bytes, raises InvalidPairError, the Arabic side
-    checked first.
+    checked first. `known`, one dict per language from a text to its
+    PreparedText, lets a caller prepare each distinct text once.
     """
     if not pair.text_a:
         raise InvalidPairError(pair.id, "empty arabic side")
     if not pair.text_e:
         raise InvalidPairError(pair.id, "empty english side")
-    prep_a, prep_e = prepare(pair.text_a, arabic_transform), prepare(pair.text_e, IDENTITY)
+    seen_a, seen_e = known or ({}, {})
+    prep_a = seen_a.get(pair.text_a) or seen_a.setdefault(
+        pair.text_a, prepare(pair.text_a, arabic_transform))
+    prep_e = seen_e.get(pair.text_e) or seen_e.setdefault(
+        pair.text_e, prepare(pair.text_e, IDENTITY))
     if len(prep_a.data) > MAX_SIDE_BYTES:
         raise InvalidPairError(pair.id, f"arabic side longer than {MAX_SIDE_BYTES} bytes")
     if len(prep_e.data) > MAX_SIDE_BYTES:
@@ -150,11 +156,12 @@ def prepare_sides(
     return prep_a, prep_e
 
 
-def side_bits(model: PpmModel, data: bytes) -> float:
+def side_bits(model: PpmModel, data: bytes,
+              cuts: tuple[int, ...] | None = None) -> float | list[float]:
     """Code length of one prepared side: ideal_bits over a private adaptive
     overlay, so the shared snapshot is never mutated and the result depends
-    only on `data` and `model`."""
-    return ideal_bits(model, data, adapt=True)
+    only on `data` and `model`. With `cuts`, that of each of those prefixes."""
+    return ideal_bits(model, data, True, cuts)
 
 
 def pair_score(pair_id: str, len_a: int, len_e: int, bits_a: float, bits_e: float,

@@ -112,7 +112,8 @@ class ContextStats(NamedTuple):
         return len(self.counts)
 
 
-def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None) -> float:
+def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encoder=None,
+              cuts: Sequence[int] | None = None) -> float | list[float]:
     """Code `text` along the PPMD escape chain; returns bits, or feeds `encoder`.
 
     Per symbol the contexts are walked from the longest to the empty one.
@@ -123,6 +124,11 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
     overlay, in the same pass. A context is coded from the base table on its
     first touch, which the overlay records as the bare symbol, and is copied
     in only on its second, so most contexts of a sentence are never copied.
+
+    With `cuts`, lengths that ascend strictly within 0..len(text), it returns
+    the running bits after each cut instead. Coding is causal, so each equals
+    code_text of that prefix of `text`, from the same float additions in the
+    same order: one walk codes a text and every prefix of it at once.
     """
     seq = model._keys(text)
     d, alphabet, base = model.max_order, model.alphabet_size, model._table
@@ -130,7 +136,12 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
     log2 = math.log2
     uniform = log2(alphabet) - log2(1)
     bits = 0.0
+    marks = iter(cuts or ())
+    cut, at_cuts = next(marks, -1), []
     for i, sym in enumerate(seq):
+        if i == cut:
+            at_cuts.append(bits)
+            cut = next(marks, -1)
         escaping = True
         for j in range(i - d if i > d else 0, i + 1):
             ctx = seq[j:i]
@@ -175,7 +186,13 @@ def code_text(model: "PpmModel", text: Sequence[int], adapt: bool = True, encode
                 bits += uniform
             else:
                 encoder.encode(sym, 1, alphabet)
-    return bits
+    if cuts is None:
+        return bits
+    if cut == len(seq):
+        at_cuts.append(bits)
+    if len(at_cuts) != len(cuts):
+        raise ValueError(f"cuts must ascend strictly within 0..{len(seq)}, got {cuts!r}")
+    return at_cuts
 
 
 def decode_text(model: "PpmModel", length: int, decoder, adapt: bool = True) -> bytes:

@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fnmatch import fnmatchcase
 from fractions import Fraction
@@ -17,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from bitextverify import cli
 from bitextverify import corpus
 from bitextverify.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, fmt_pct, main, parse_grid
+from bitextverify.metrics import SATISFACTORY, UNSATISFACTORY
 from bitextverify.ppm import MAX_ORDER, PpmModel
-from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY
+from bitextverify.preprocess import ARABIC_NUMERIC, IDENTITY, apply_transform
 
 AR_LINE = "ذهب رجل الى السوق ليشتري الخبز والفاكهة."
 EN_LINE = "A man went to the market to buy bread and fruit."
@@ -515,6 +519,90 @@ class TestStats:
         assert "news" in out and "sport" in out and "overall" in out
 
 
+# sides that begin one another in both languages, so that a walk has several members
+_AGREE_SIDE = st.sampled_from(["a", "ab", "abc", "ab c", "hello", "hello there", "the",
+                               "مر", "مرحبا", "مرحبا بكم", "نص", "نص اخر"])
+_AGREE_ROWS = st.lists(
+    st.tuples(_AGREE_SIDE, _AGREE_SIDE, st.sampled_from(corpus.LABELS),
+              st.sampled_from(["", "news", "web"])),
+    min_size=2, max_size=14,
+).map(lambda rows: [(str(i), a, e, corpus.LABELS[i] if i < 2 else label, category)
+                    for i, (a, e, label, category) in enumerate(rows)])  # both labels
+
+
+@pytest.fixture(scope="module")
+def small_model_files(tmp_path_factory):
+    """(arabic, english) model files primed on a few lines, quick to load."""
+    directory = tmp_path_factory.mktemp("models")
+    files = []
+    for name, text, transform in (("arabic", "مرحبا بكم في نص اخر", ARABIC_NUMERIC),
+                                  ("english", "hello there, the abc of it", IDENTITY)):
+        model = PpmModel(3)
+        model.train(apply_transform(text, transform))
+        model.save(directory / f"{name}.ppm")
+        files.append(str(directory / f"{name}.ppm"))
+    return files
+
+
+@settings(max_examples=12, deadline=None)
+@given(rows=_AGREE_ROWS)
+def test_commands_agree_on_one_corpus(small_model_files, rows):
+    """score, filter, evaluate and stats on one labelled corpus, at --jobs 1 and 2:
+    filter's split is score's verdict column, evaluate's accuracies and stats'
+    percentages follow from the score TSV, and every output is the same at both."""
+    outputs = []
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "usable_cores", lambda: 2)  # a child even on one core
+        pairs = os.path.join(work, "pairs.tsv")
+        with open(pairs, "w", encoding="utf-8") as fh:
+            fh.writelines("\t".join(row) + "\n" for row in rows)
+        model_a, model_e = small_model_files
+        for jobs in ("1", "2"):
+            common = ["--pairs", pairs, "--model-a", model_a, "--model-e", model_e, "--jobs", jobs]
+            score_tsv, out_dir = os.path.join(work, f"score{jobs}.tsv"), os.path.join(work, jobs)
+            printed = {}
+            for command, extra in (("score", ["--out", score_tsv]), ("filter", ["--out-dir", out_dir]),
+                                   ("evaluate", []), ("stats", [])):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main([command, *common, *extra]) == 0
+                printed[command] = out.getvalue().splitlines()
+            with open(score_tsv, encoding="utf-8") as fh:
+                header, *scores = (line.rstrip("\n").split("\t") for line in fh)
+            files = {name: Path(out_dir, f"{name}.tsv").read_text(encoding="utf-8")
+                     for name in ("accepted", "rejected", "invalid")}
+            outputs.append((scores, files, printed["evaluate"], printed["stats"]))
+
+            assert [s[0] for s in scores] == [row[0] for row in rows]
+            verdicts = {s[0]: s[7] for s in scores}
+            for name, verdict in (("accepted", SATISFACTORY), ("rejected", UNSATISFACTORY)):
+                ids = [line.split("\t")[0] for line in files[name].splitlines()]
+                assert ids == [row[0] for row in rows if verdicts[row[0]] == verdict]
+            assert files["invalid"] == ""
+
+            accuracy = []
+            for label in corpus.LABELS:
+                judged = [verdicts[row[0]] for row in rows if row[3] == label]
+                accuracy.append(Fraction(100 * judged.count(label), len(judged)))
+            assert printed["evaluate"] == [
+                f"satisfactory accuracy: {fmt_pct(accuracy[0])}",
+                f"unsatisfactory accuracy: {fmt_pct(accuracy[1])}",
+                f"average accuracy: {fmt_pct(sum(accuracy) / 2)}",
+            ]
+
+            groups = {}
+            for row, s in zip(rows, scores):
+                groups.setdefault(row[4] or corpus.UNCATEGORIZED, []).append(s)
+            expected = ["category\tpairs\tlen_a_greater_pct\tbits_a_greater_pct"]
+            for category, group in [*sorted(groups.items()), ("overall", scores)]:
+                n = len(group)
+                longer = sum(int(s[1]) > int(s[2]) for s in group)
+                costlier = sum(float(s[3]) > float(s[4]) for s in group)
+                expected.append(f"{category}\t{n}\t{fmt_pct(100.0 * longer / n)}"
+                                f"\t{fmt_pct(100.0 * costlier / n)}")
+            assert printed["stats"] == expected
+    assert outputs[0] == outputs[1]
+
+
 class TestParser:
     def test_scoring_commands_share_defaults(self):
         parser = cli.build_parser()
@@ -718,6 +806,40 @@ class TestExitCodes:
         assert main(argv[bad]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path[bad]}:400: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("bad", ["pairs", "arabic", "english"])
+    def test_line_over_the_limit_names_file_and_line(self, tmp_path, capsys, bad):
+        """A corpus line of 1,048,577 bytes before its "\\n" exits 3 naming its file
+        and line; the loaders read no more than one byte past the limit of a line."""
+        over = 1048577
+        lines = {"pairs": [f"1\t{AR_LINE}\t{EN_LINE}", "2\tx\t" + "e" * (over - 4)],
+                 "arabic": [AR_LINE, "x"], "english": [EN_LINE, "y"]}
+        if bad != "pairs":
+            lines[bad][1] = "z" * over
+        for name, rows in lines.items():
+            (tmp_path / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert len((tmp_path / bad).read_bytes().split(b"\n")[1]) == over
+        path = {name: str(tmp_path / name) for name in lines}
+        argv = (["--pairs", path["pairs"]] if bad == "pairs" else
+                ["--format", "aligned", "--arabic", path["arabic"], "--english", path["english"]])
+        assert main(["score", *argv]) == EXIT_FORMAT
+        assert capsys.readouterr().err == (
+            f"input error: {path[bad]}:2: line longer than 1048576 bytes\n")
+
+    @pytest.mark.parametrize("ending", ["\n", ""])
+    def test_line_at_the_limit_loads_and_its_long_side_is_invalid(self, tmp_path, ending):
+        """A line of exactly 1,048,576 bytes loads, with or without its "\\n"; its
+        Arabic side of 65,537 prepared bytes makes the pair invalid as before."""
+        head = f"big\t{'س' * 65537}\t"
+        row = head + "e" * (1048576 - len(head.encode("utf-8")))
+        path = tmp_path / "p.tsv"
+        path.write_text("ok\tمرحبا\thello\n" + row + ending, encoding="utf-8")
+        assert len(row.encode("utf-8")) == 1048576
+        out_dir = tmp_path / "out"
+        assert main(["filter", "--pairs", str(path), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["invalid"] == [["big", "arabic side longer than 65536 bytes"]]
+        assert report["counts"]["total"] == 2
 
     def test_alphabet_above_256_dump_is_config_error(self, tmp_path, corpus_tsv, capsys):
         path = tmp_path / "wide.ppm"

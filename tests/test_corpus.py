@@ -569,16 +569,19 @@ class TestSideLimit:
             score_pair(pairs[1], model_a, model_e)
 
 
-# sides drawn from a few short texts, so most of them repeat; "" makes a pair invalid
-_SIDE = st.sampled_from(["", "abc", "ab", "a b", "مرحبا", "ab ab", "نص abc"])
+# sides drawn from a few short texts, so most of them repeat and many begin one
+# another ("a", "ab", "ab c", "abc"; "مر", "مرحبا"), so a walk has several members;
+# "" makes a pair invalid
+_SIDE = st.sampled_from(["", "a", "abc", "ab", "a b", "ab c", "مر", "مرحبا", "ab ab", "نص abc"])
 _REPEATED_PAIRS = st.lists(st.tuples(_SIDE, _SIDE), max_size=30).map(
     lambda sides: [SentencePair(str(i), a, e) for i, (a, e) in enumerate(sides)]
 )
 
 
 class TestDistinctSides:
-    """score_pairs scores each distinct side once; the results must be those of
-    score_pair on every pair, repeated, empty and cross-language-equal sides included."""
+    """score_pairs walks each chain of prefix-related sides once; the results must
+    be those of score_pair on every pair, repeated, empty, prefix-related and
+    cross-language-equal sides included."""
 
     @staticmethod
     def _expected(pairs, model_a, model_e, thresholds):
@@ -604,19 +607,25 @@ class TestDistinctSides:
         assert got == self._expected(pairs, model_a, model_e, thresholds)
 
     def test_repeats_are_scored_once(self, filter_models, monkeypatch):
+        """One walk per chain, in sorted order: English "ab" and "abc" are one walk
+        with cuts (2, 3), and each cut's float goes to the side of that length."""
         model_a, model_e = filter_models
         calls = []
 
-        def fake_bits(model, data):
-            calls.append((model, data))
-            return 8.0
+        def fake_bits(model, data, cuts):
+            calls.append((model, data, cuts))
+            return [8.0 * cut + 0.5 * (model is model_e) for cut in cuts]
 
         monkeypatch.setattr(corpus, "side_bits", fake_bits)
-        pairs = [SentencePair("1", "ab", "ab"), SentencePair("2", "ab", "ab"),
-                 SentencePair("3", "", "ab"), SentencePair("4", "ab", "cd")]
-        score_pairs(pairs, model_a, model_e)
+        pairs = [SentencePair("1", "ab", "ab"), SentencePair("2", "ab", "abc"),
+                 SentencePair("3", "", "ab"), SentencePair("4", "ab", "cd"),
+                 SentencePair("5", "ab", "ab")]
+        scored = score_pairs(pairs, model_a, model_e)
         data_a = prepare("ab", ARABIC_NUMERIC).data
-        assert calls == [(model_a, data_a), (model_e, b"ab"), (model_e, b"cd")]
+        assert calls == [(model_a, data_a, (2,)), (model_e, b"abc", (2, 3)),
+                         (model_e, b"cd", (2,))]
+        bits = [None if s.score is None else (s.score.bits_a, s.score.bits_e) for s in scored]
+        assert bits == [(16.0, 16.5), (16.0, 24.5), None, (16.0, 16.5), (16.0, 16.5)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_small_alphabet_still_raises(self, jobs, monkeypatch):
@@ -688,41 +697,61 @@ class TestForkJoin:
         monkeypatch.delattr(os, "fork")
         assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
 
+    @staticmethod
+    def _mark_child(directory):
+        """Record in `directory` that this process, a forked child, ran the fake."""
+        Path(directory, str(os.getpid())).touch()
+
+    @staticmethod
+    def _marked(directory):
+        return sorted(int(name) for name in os.listdir(directory))
+
     @pytest.mark.parametrize("failure", ["raise", "exit"])
-    def test_failed_child_share_is_scored_here(self, filter_models, monkeypatch, forks, failure):
+    def test_failed_child_share_is_scored_here(self, filter_models, monkeypatch, forks, failure,
+                                               tmp_path):
         """A child that raises (exits 1) or exits 0 before it replies: the parent
-        scores that share itself, with the same floats."""
+        scores that share itself, with the same floats. Each child records that
+        the fake ran in it, so the failure is the one under test."""
         model_a, model_e = filter_models
         serial = score_pairs(self.PAIRS, model_a, model_e, jobs=1)
         parent, real_bits = os.getpid(), corpus.side_bits
 
-        def side_bits(model, data):
+        def side_bits(model, data, cuts):
             if os.getpid() != parent:
+                self._mark_child(tmp_path)
                 if failure == "exit":
                     os._exit(0)
                 raise RuntimeError("child share fails")
-            return real_bits(model, data)
+            return real_bits(model, data, cuts)
 
         monkeypatch.setattr(corpus, "side_bits", side_bits)
         assert score_pairs(self.PAIRS, model_a, model_e, jobs=3) == serial
         assert len(forks) == 2
+        assert self._marked(tmp_path) == sorted(forks)
 
     @pytest.mark.parametrize("where", ["parent", "everywhere", "busy-children"])
     @pytest.mark.parametrize("n_pairs", [41, 15_000])
     def test_raising_call_leaves_no_child_or_fd(self, filter_models, monkeypatch, forks,
-                                                where, n_pairs):
+                                                where, n_pairs, tmp_path):
         """15,000 pairs give each child 10,000 floats, more than a pipe holds, so
         a child is still writing when this process stops reading. Busy children,
-        20 s on each task, are killed rather than waited for."""
+        20 s on each walk, are killed rather than waited for. Each child records
+        that the fake ran in it, and this process raises only once both have."""
         model_a, model_e = filter_models
         parent = os.getpid()
 
-        def side_bits(model, data):
-            if where == "everywhere" or os.getpid() == parent:
+        def side_bits(model, data, cuts):
+            if os.getpid() == parent:
+                deadline = time.monotonic() + 3
+                while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                raise ValueError("symbol 300 outside alphabet of size 256")
+            self._mark_child(tmp_path)
+            if where == "everywhere":
                 raise ValueError("symbol 300 outside alphabet of size 256")
             if where == "busy-children":
                 time.sleep(20)
-            return 1.0
+            return [1.0] * len(cuts)
 
         monkeypatch.setattr(corpus, "side_bits", side_bits)
         pairs = [SentencePair(str(i), f"a{i}", f"e{i}") for i in range(n_pairs)]
@@ -739,6 +768,7 @@ class TestForkJoin:
         assert time.monotonic() - started < 5
         assert sorted(os.listdir("/dev/fd")) == fds
         assert len(forks) == 2
+        assert self._marked(tmp_path) == sorted(forks)
         for pid in forks:
             with pytest.raises(ChildProcessError):  # already reaped
                 os.waitpid(pid, os.WNOHANG)
@@ -757,7 +787,7 @@ class TestPoolSize:
     """The pool size is computed by a pure helper; no pool is started here."""
 
     @pytest.mark.parametrize(
-        "jobs,n_tasks,cores,expected",
+        "jobs,n_walks,cores,expected",
         [
             (1, 100, 8, 1),
             (4, 100, 8, 4),
@@ -768,8 +798,8 @@ class TestPoolSize:
             (8, 0, 8, 1),
         ],
     )
-    def test_capped_by_cores_and_pairs(self, jobs, n_tasks, cores, expected):
-        assert pool_size(jobs, n_tasks, cores) == expected
+    def test_capped_by_cores_and_pairs(self, jobs, n_walks, cores, expected):
+        assert pool_size(jobs, n_walks, cores) == expected
 
     @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
     def test_below_one_rejected(self, jobs):
@@ -782,8 +812,8 @@ class TestPoolSize:
             score_pairs([SentencePair("1", "نص", "text")], model_a, model_e, jobs=0)
 
     def test_no_pool_without_a_side_to_score(self, monkeypatch):
-        """The processes are counted by distinct sides, not pairs: 5 pairs with an
-        empty Arabic side at jobs=2 on 2 cores score nothing, so nothing is forked."""
+        """The processes are counted by walks, not pairs: 5 pairs with an empty
+        Arabic side at jobs=2 on 2 cores score nothing, so nothing is forked."""
 
         def fork():
             raise AssertionError("a child was forked")

@@ -253,6 +253,30 @@ def test_estimate_update_loop_is_complete_and_accurate(priming, symbols, adapt):
     assert ideal_bits(snap, symbols, adapt) == pytest.approx(exact_bits, abs=1e-9)
 
 
+# bytes over a few symbols, so contexts repeat within a text and the overlay counts them
+_REPEATING = st.lists(st.sampled_from(b"abcab \xd9"), max_size=60).map(bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, 6), priming=st.lists(_REPEATING | st.binary(max_size=40), max_size=4),
+       text=_REPEATING | st.binary(max_size=60), data=st.data())
+def test_cuts_give_each_prefix_float_for_float(order, priming, text, data):
+    """One adaptive walk with cuts gives, at each cut, exactly ideal_bits of that
+    prefix: coding is causal, so the floats are the same sums in the same order."""
+    model = PpmModel(order)
+    model.train_many(priming)
+    snap = model.snapshot()
+    cuts = tuple(sorted(data.draw(st.sets(st.integers(0, len(text))), label="cuts")))
+    assert ideal_bits(snap, text, True, cuts) == [ideal_bits(snap, text[:c]) for c in cuts]
+    assert ideal_bits(snap, text, True, (*cuts, len(text))[-1:]) == [ideal_bits(snap, text)]
+
+
+@pytest.mark.parametrize("cuts", [(2, 2), (3, 1), (6,), (-1,), (0, 6)])
+def test_cuts_must_ascend_within_the_text(cuts):
+    with pytest.raises(ValueError, match="cuts must ascend strictly"):
+        ideal_bits(PpmModel().snapshot(), b"hello", True, cuts)
+
+
 class TestSnapshot:
     def test_frozen_rejects_mutation(self):
         model = PpmModel(2, 256)
