@@ -91,8 +91,10 @@ def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
     return side(args.model_a, "arabic"), side(args.model_e, "english")
 
 
-def _load_pairs(args):
-    if args.jobs < 1:  # before any input is read; pool_size checks again for library callers
+def _load_inputs(args):
+    """(models, pairs) as _load_models and load_corpus give them. Errors win in this
+    order: the options, before anything is read, then the models, then the corpus."""
+    if args.jobs < 1:  # pool_size checks again for library callers
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if not args.model_a and args.transform != ARABIC_NUMERIC:
         raise ValueError(f"--transform {args.transform} needs --model-a: the bundled "
@@ -102,19 +104,18 @@ def _load_pairs(args):
             raise ValueError("--pairs is read only with --format tsv")
         if not (args.arabic and args.english):
             raise ValueError("aligned format needs --arabic and --english")
-        return load_corpus(args.arabic, "aligned", english_path=args.english)
+        return _load_models(args), load_corpus(args.arabic, "aligned", english_path=args.english)
     for option, value in (("--arabic", args.arabic), ("--english", args.english)):
         if value:
             raise ValueError(f"{option} is read only with --format aligned")
     if not args.pairs:
         raise ValueError("tsv format needs --pairs")
-    return load_corpus(args.pairs, "tsv")
+    return _load_models(args), load_corpus(args.pairs, "tsv")
 
 
 def _score_corpus(args, thresholds: ThresholdConfig):
-    """Load the corpus and the models named by `args`; return (pairs, scored pairs)."""
-    pairs = _load_pairs(args)
-    (model_a, _), (model_e, _) = _load_models(args)
+    """Load the models, then the corpus, named by `args`; return (pairs, scored pairs)."""
+    ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
     return pairs, score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
 
 
@@ -201,11 +202,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    pairs = _load_pairs(args)
-    (model_a, id_a), (model_e, id_e) = _load_models(args)
+    """Partition the corpus into --out-dir, made after the corpus is read, before any scoring."""
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+    ((model_a, id_a), (model_e, id_e)), pairs = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
+    parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
     names = ("accepted", "rejected", "invalid")
     counts, per_category = {}, {}
     for name, part in zip(names, parts):

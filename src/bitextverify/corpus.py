@@ -247,46 +247,38 @@ def score_pairs(
     Arabic first) and prepared once, each distinct text once per language:
     both transforms are injective, so equal texts give equal bytes. The walks
     are split over pool_size() processes by _score_forked, one where os.fork
-    does not exist. A PairScore's fields are computed once per distinct text
-    pair and built around each of the caller's own pairs.
+    does not exist. One dict keyed by text pair holds its prepared sides or
+    its invalid reason, then its score fields, built into a PairScore around
+    each of the caller's own pairs.
     """
-    if thresholds is None:
-        thresholds = ThresholdConfig()
-    slots: dict[tuple[str, str], int] = {}  # (text_a, text_e) -> index in `steps`
-    steps: list = []  # per distinct text pair: (prep_a, prep_e), or the reason it is invalid
-    plan = []  # per pair: its index in `steps`
+    thresholds = thresholds or ThresholdConfig()
+    distinct: dict = {}  # (text_a, text_e) -> prepared sides or invalid reason, then score fields
     known: tuple[dict, dict] = ({}, {})  # per language: text -> PreparedText
     for pair in pairs:
         key = (pair.text_a, pair.text_e)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(steps)
+        if key not in distinct:
             try:
-                steps.append(prepare_sides(pair, arabic_transform, known))
+                distinct[key] = prepare_sides(pair, arabic_transform, known)
             except InvalidPairError as exc:
-                steps.append(exc.reason)
-        plan.append(slot)
-    del slots, known  # this call peaks while it builds the results: free what is done
-    order = sorted({(side, prep.data) for step in steps if step.__class__ is not str
+                distinct[key] = exc.reason
+    del known  # this call peaks while it builds the results: free what is done
+    order = sorted({(side, prep.data) for step in distinct.values() if step.__class__ is not str
                     for side, prep in enumerate(step)})
     walks = _walks(order)
     workers = pool_size(jobs, len(walks), usable_cores() if hasattr(os, "fork") else 1)
     per_walk = _score_forked((model_a.snapshot(), model_e.snapshot()), walks, workers)
     bits = dict(zip(order, chain.from_iterable(per_walk)))
-    for k, step in enumerate(steps):
+    for key, step in distinct.items():  # overwrites values only, so the dict keeps its size
         if step.__class__ is not str:
             prep_a, prep_e = step
-            steps[k] = pair_score(  # every field but pair_id
-                "", prep_a.char_length, prep_e.char_length,
-                bits[0, prep_a.data], bits[1, prep_e.data], thresholds)[1:]
+            distinct[key] = pair_score(prep_a.char_length, prep_e.char_length,
+                                       bits[0, prep_a.data], bits[1, prep_e.data], thresholds)
     del order, walks, per_walk, bits
     results = []
-    for pair, slot in zip(pairs, plan):
-        step = steps[slot]
-        if step.__class__ is str:
-            results.append(ScoredPair(pair, None, step))
-        else:
-            results.append(ScoredPair(pair, PairScore(pair.id, *step)))
+    for pair in pairs:
+        fields = distinct[pair.text_a, pair.text_e]
+        results.append(ScoredPair(pair, None, fields) if fields.__class__ is str
+                       else ScoredPair(pair, PairScore(pair.id, *fields)))
     return results
 
 

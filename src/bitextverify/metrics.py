@@ -164,23 +164,14 @@ def side_bits(model: PpmModel, data: bytes,
     return ideal_bits(model, data, True, cuts)
 
 
-def pair_score(pair_id: str, len_a: int, len_e: int, bits_a: float, bits_e: float,
-               thresholds: ThresholdConfig) -> PairScore:
-    """The PairScore of a pair whose sides have these lengths and code lengths."""
-    slr_value = slr(len_a, len_e)
-    cr_value = cr(bits_a, bits_e)
-    return PairScore(
-        pair_id=pair_id,
-        len_a=len_a,
-        len_e=len_e,
-        bits_a=bits_a,
-        bits_e=bits_e,
-        h_a=cross_entropy(bits_a, len_a),
-        h_e=cross_entropy(bits_e, len_e),
-        slr=slr_value,
-        cr=cr_value,
-        verdict=verdict(slr_value, cr_value, thresholds),
-    )
+def pair_score(len_a: int, len_e: int, bits_a: float, bits_e: float,
+               thresholds: ThresholdConfig) -> tuple:
+    """Every PairScore field after pair_id, in order, of a pair whose sides have
+    these lengths and code lengths: a caller builds PairScore(its id, *fields)."""
+    slr_value, cr_value = slr(len_a, len_e), cr(bits_a, bits_e)
+    return (len_a, len_e, bits_a, bits_e, cross_entropy(bits_a, len_a),
+            cross_entropy(bits_e, len_e), slr_value, cr_value,
+            verdict(slr_value, cr_value, thresholds))
 
 
 def score_pair(
@@ -192,8 +183,8 @@ def score_pair(
 ) -> PairScore:
     """Score one sentence pair against frozen per-language models."""
     prep_a, prep_e = prepare_sides(pair, arabic_transform)
-    return pair_score(
-        pair.id, prep_a.char_length, prep_e.char_length,
+    return PairScore(pair.id, *pair_score(
+        prep_a.char_length, prep_e.char_length,
         side_bits(model_a, prep_a.data), side_bits(model_e, prep_e.data),
         thresholds or ThresholdConfig(),
-    )
+    ))

@@ -744,19 +744,50 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 5
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero and RLIMIT_AS")
-    def test_endless_model_file_is_refused_after_its_first_bytes(self, tmp_path, corpus_tsv):
-        """--model-a /dev/zero is no dump: refused after 5 bytes, not read until memory
-        runs out. The child caps its own address space at 600 MB so that reading on
-        fails fast with MemoryError (exit 1) instead of exhausting the machine."""
+    @staticmethod
+    def _score_with_endless_model(pairs):
+        """`score --pairs pairs --model-a /dev/zero` in a child that caps its own address
+        space at 600 MB, so that a loader reading on fails fast with MemoryError
+        (exit 1) instead of exhausting the machine: (exit status, stderr)."""
         child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (600 << 20,) * 2); "
                  "from bitextverify.cli import main; sys.exit(main(sys.argv[1:]))")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        proc = subprocess.run([sys.executable, "-c", child, "score", "--pairs", str(corpus_tsv),
+        proc = subprocess.run([sys.executable, "-c", child, "score", "--pairs", str(pairs),
                                "--model-a", "/dev/zero"], env=env, capture_output=True,
                               text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero and RLIMIT_AS")
+    def test_endless_model_file_is_refused_after_its_first_bytes(self, tmp_path, corpus_tsv):
+        """--model-a /dev/zero is no dump: refused after 5 bytes, not read until memory
+        runs out."""
+        assert self._score_with_endless_model(corpus_tsv) == (
             EXIT_CONFIG, "configuration error: not a PPMV1 model dump\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero and RLIMIT_AS")
+    def test_models_load_before_the_corpus_is_read(self, tmp_path):
+        """A model that is no dump wins over a corpus line with an invalid label:
+        exit 2, not 3, because the models are loaded first."""
+        path = tmp_path / "bad_label.tsv"
+        path.write_text(f"1\t{AR_LINE}\t{EN_LINE}\tMaybe\n", encoding="utf-8")
+        assert main(["score", "--pairs", str(path)]) == EXIT_FORMAT  # the corpus alone is bad
+        assert self._score_with_endless_model(path) == (
+            EXIT_CONFIG, "configuration error: not a PPMV1 model dump\n")
+
+    def test_unmakeable_out_dir_fails_before_any_pair_is_scored(self, tmp_path, corpus_tsv,
+                                                                 monkeypatch, capsys):
+        """--out-dir under a regular file exits 4 once the corpus is read, not after
+        every pair has been scored."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+
+        def filter_corpus(*args, **kwargs):
+            raise AssertionError("the corpus was scored")
+
+        monkeypatch.setattr(cli, "filter_corpus", filter_corpus)
+        assert main(["filter", "--pairs", str(corpus_tsv),
+                     "--out-dir", str(blocker / "out")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,

@@ -571,11 +571,14 @@ class TestSideLimit:
 
 # sides drawn from a few short texts, so most of them repeat and many begin one
 # another ("a", "ab", "ab c", "abc"; "مر", "مرحبا"), so a walk has several members;
-# "" makes a pair invalid
-_SIDE = st.sampled_from(["", "a", "abc", "ab", "a b", "ab c", "مر", "مرحبا", "ab ab", "نص abc"])
-_REPEATED_PAIRS = st.lists(st.tuples(_SIDE, _SIDE), max_size=30).map(
-    lambda sides: [SentencePair(str(i), a, e) for i, (a, e) in enumerate(sides)]
-)
+# "" makes a pair invalid, and so does a side one byte over SIDE_LIMIT in either
+# language, though "a" begins it. A repeated text pair may differ in id, label or category
+_SIDE = st.sampled_from(["", "a", "abc", "ab", "a b", "ab c", "مر", "مرحبا", "ab ab", "نص abc",
+                         "a" * (SIDE_LIMIT + 1)])
+_REPEATED_PAIRS = st.lists(
+    st.tuples(_SIDE, _SIDE, st.sampled_from([None, *LABELS]), st.sampled_from([None, "news"])),
+    max_size=30,
+).map(lambda rows: [SentencePair(str(i), *row) for i, row in enumerate(rows)])
 
 
 class TestDistinctSides:
