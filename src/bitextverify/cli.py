@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 input-format error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -114,23 +115,24 @@ def _load_inputs(args):
 
 
 def _score_corpus(args, thresholds: ThresholdConfig):
-    """Load the models, then the corpus, named by `args`; return (pairs, scored pairs)."""
+    """Load the models, then the corpus, named by `args`; return the scored pairs,
+    each carrying its input pair."""
     ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
-    return pairs, score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+    return score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
 
 
-def _labeled_scores(scored) -> list[PairScore]:
-    """Scores of a labeled corpus, which must have no unscorable pair."""
+def _labeled_scores(scored) -> tuple[list, list[PairScore]]:
+    """(pairs, scores) of a labeled corpus, which must have no unscorable pair."""
     invalid = sum(s.score is None for s in scored)
     if invalid:
         raise CorpusFormatError(f"labeled corpus has {invalid} unscorable pairs")
-    return [s.score for s in scored]
+    return [s.pair for s in scored], [s.score for s in scored]
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _open_output(path):
+    """`path` opened for text output, created or truncated like a shell redirect. No
+    path gives a context yielding None, which print() takes as stdout."""
+    return open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext()
 
 
 def _pair_row(pair) -> str:
@@ -148,14 +150,8 @@ def _pair_row(pair) -> str:
 def cmd_train(args) -> int:
     """Train each line of --input as one text, history reset per line."""
     model = PpmModel(args.order)
-    n_texts = 0
-
-    def texts():
-        nonlocal n_texts
-        for n_texts, line in enumerate(read_lines(args.input), 1):
-            yield apply_transform(line, args.transform)
-
-    model.train_many(texts())
+    n_texts = model.train_many(apply_transform(line, args.transform)
+                               for line in read_lines(args.input))
     model.save(args.out)
     total = model.stats(()).total  # the empty context counts every symbol once
     print(f"trained {n_texts} texts, {total} symbols; wrote {args.out}")
@@ -163,27 +159,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    _, scored = _score_corpus(args, ThresholdConfig(args.theta_slr, args.theta_cr))
-    rows = [PairScore.TSV_HEADER] + [s.score.tsv_row() for s in scored if s.score]
-    if args.out:
-        _write_lines(args.out, rows)
-    else:
-        for row in rows:
-            print(row)
-    invalid = [f"{s.pair.id}\t{s.error}" for s in scored if s.score is None]
-    if args.invalid_out:
-        _write_lines(args.invalid_out, invalid)
-    elif invalid:
-        print(f"{len(invalid)} invalid pairs (use --invalid-out to capture):", file=sys.stderr)
-        for line in invalid:
-            print("  " + line, file=sys.stderr)
+    """Score the corpus to a per-pair TSV on --out, else stdout. --out and --invalid-out
+    are opened (created or truncated, like a shell redirect) once the corpus is read,
+    before any pair is scored; without --invalid-out the unscorable pairs are listed
+    on stderr."""
+    thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
+    ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
+    with _open_output(args.out) as out, _open_output(args.invalid_out) as invalid_out:
+        scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+        invalid = sum(s.score is None for s in scored)
+        if invalid and not invalid_out:
+            print(f"{invalid} invalid pairs (use --invalid-out to capture):", file=sys.stderr)
+        print(PairScore.TSV_HEADER, file=out)
+        for s in scored:
+            if s.score:
+                print(s.score.tsv_row(), file=out)
+            elif invalid_out:
+                print(f"{s.pair.id}\t{s.error}", file=invalid_out)
+            else:
+                print(f"  {s.pair.id}\t{s.error}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    pairs, scored = _score_corpus(args, thresholds)
-    report = evaluate(pairs, _labeled_scores(scored), thresholds, args.metric)
+    pairs, scores = _labeled_scores(_score_corpus(args, thresholds))
+    report = evaluate(pairs, scores, thresholds, args.metric)
     print(f"satisfactory accuracy: {fmt_pct(report.sat_accuracy)}")
     print(f"unsatisfactory accuracy: {fmt_pct(report.unsat_accuracy)}")
     print(f"average accuracy: {fmt_pct(report.average)}")
@@ -192,8 +193,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
-    pairs, scored = _score_corpus(args, ThresholdConfig())
-    matrix = threshold_matrix(pairs, _labeled_scores(scored), grid, grid)
+    pairs, scores = _labeled_scores(_score_corpus(args, ThresholdConfig()))
+    matrix = threshold_matrix(pairs, scores, grid, grid)
     # Layout: SLR thresholds across the top, CR thresholds down the side.
     print("CR\\SLR\t" + "\t".join(f"{v:g}" for v in grid))
     for theta_cr, row in zip(grid, matrix):
@@ -211,12 +212,11 @@ def cmd_filter(args) -> int:
     counts, per_category = {}, {}
     for name, part in zip(names, parts):
         counts[name] = len(part)
-        rows = []
-        for item in part:
-            category = item.pair.category or UNCATEGORIZED
-            per_category.setdefault(category, dict.fromkeys(names, 0))[name] += 1
-            rows.append(_pair_row(item.pair) + (f"\t{item.error}" if item.error else ""))
-        _write_lines(os.path.join(args.out_dir, f"{name}.tsv"), rows)
+        with _open_output(os.path.join(args.out_dir, f"{name}.tsv")) as out:
+            for item in part:
+                category = item.pair.category or UNCATEGORIZED
+                per_category.setdefault(category, dict.fromkeys(names, 0))[name] += 1
+                print(_pair_row(item.pair) + (f"\t{item.error}" if item.error else ""), file=out)
     valid = counts["accepted"] + counts["rejected"]
     percentages = {name: 100.0 * counts[name] / valid if valid else 0.0 for name in names[:2]}
     report = {
@@ -231,8 +231,8 @@ def cmd_filter(args) -> int:
         },
         "transform": {"arabic": args.transform, "english": IDENTITY},
     }
-    _write_lines(os.path.join(args.out_dir, "report.json"),
-                 [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)])
+    with _open_output(os.path.join(args.out_dir, "report.json")) as out:
+        print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False), file=out)
     print(
         f"accepted {counts['accepted']} ({fmt_pct(percentages['accepted'])}%), "
         f"rejected {counts['rejected']} ({fmt_pct(percentages['rejected'])}%), "
@@ -242,8 +242,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, scored = _score_corpus(args, ThresholdConfig())
-    valid = [s for s in scored if s.score]
+    valid = [s for s in _score_corpus(args, ThresholdConfig()) if s.score]
     if not valid:
         raise CorpusFormatError("no scorable pairs")
     by_category: dict[str, list] = {}

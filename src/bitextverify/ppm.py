@@ -365,15 +365,15 @@ class PpmModel:
         0..max_order, left to right from an empty history."""
         self.train_many((text,))
 
-    def train_many(self, texts: Iterable[Sequence[int]]) -> None:
+    def train_many(self, texts: Iterable[Sequence[int]]) -> int:
         """`train` on each text in turn, history reset per text, so priming on
-        several documents is independent of their order. Every text passes the
-        alphabet check before anything is counted: a ValueError leaves the
-        model as it was."""
+        several documents is independent of their order; return how many texts
+        it trained. Every text passes the alphabet check before anything is
+        counted: a ValueError leaves the model as it was."""
         if self._frozen:
             raise FrozenModelError("snapshot is immutable; train a mutable model")
-        d, runs = self.max_order, Counter()
-        for text in texts:
+        d, runs, n_texts = self.max_order, Counter(), 0
+        for n_texts, text in enumerate(texts, 1):
             seq = self._keys(text)
             n = len(seq)
             runs.update(map(seq.__getitem__,
@@ -384,6 +384,7 @@ class PpmModel:
             self._table = {ctx: e if e[0] == 1 else [e[0], e[1].copy()] for ctx, e in table.items()}
             self._shared = False
         _observe(self._table, {}, runs)
+        return n_texts
 
     def snapshot(self) -> "PpmModel":
         """Frozen view of the current state, safe for shared concurrent scoring.

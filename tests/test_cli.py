@@ -279,6 +279,24 @@ class TestScore:
         assert len(lines) == 5
         assert lines[1].split("\t")[0] == "1"
 
+    def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path, corpus_tsv, capsys):
+        """Without --out the TSV goes to stdout byte for byte; without --invalid-out the
+        unscorable pairs are listed on stderr under their count."""
+        pairs = tmp_path / "mixed.tsv"
+        pairs.write_text(corpus_tsv.read_text(encoding="utf-8") + "5\t\ttext\n6\tنص\t\n",
+                         encoding="utf-8")
+        out, invalid = tmp_path / "s.tsv", tmp_path / "inv.tsv"
+        assert main(["score", "--pairs", str(pairs), "--out", str(out),
+                     "--invalid-out", str(invalid)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+        assert invalid.read_bytes() == b"5\tempty arabic side\n6\tempty english side\n"
+        assert main(["score", "--pairs", str(pairs)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == out.read_bytes()
+        assert captured.err == ("2 invalid pairs (use --invalid-out to capture):\n"
+                                "  5\tempty arabic side\n  6\tempty english side\n")
+
     def test_identical_pair_satisfactory(self, tmp_path):
         # identical pipeline on both sides: same model, identity transform
         src = tmp_path / "prime.txt"
@@ -508,6 +526,12 @@ class TestStats:
         out = capsys.readouterr().out.splitlines()
         assert out[-1].split("\t") == ["overall", "2", "0.00", "0.00"]
 
+    def test_no_scorable_pair_is_format_error(self, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("1\t\ttext\n2\tنص\t\n", encoding="utf-8")
+        assert main(["stats", "--pairs", str(pairs)]) == EXIT_FORMAT
+        assert capsys.readouterr().err == "input error: no scorable pairs\n"
+
     def test_category_rows(self, tmp_path, capsys):
         pairs = tmp_path / "p.tsv"
         pairs.write_text(
@@ -683,7 +707,8 @@ class TestExitCodes:
         (["--pairs", "pairs", "--english", "english"], "--english"),
         (["--format", "aligned", "--arabic", "arabic", "--english", "english", "--pairs", "pairs"],
          "--pairs"),
-    ], ids=["tsv-arabic", "tsv-english", "aligned-pairs"])
+        (["--format", "aligned", "--arabic", "arabic"], "--english"),
+    ], ids=["tsv-arabic", "tsv-english", "aligned-pairs", "aligned-no-english"])
     def test_an_input_of_the_other_format_exits_before_any_input_is_read(
             self, tmp_path, capsys, monkeypatch, inputs, ignored):
         """A corpus option the chosen --format would not read is refused, not ignored."""
@@ -789,6 +814,22 @@ class TestExitCodes:
                      "--out-dir", str(blocker / "out")]) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error: ")
 
+    @pytest.mark.parametrize("option", ["--out", "--invalid-out"])
+    def test_unwritable_score_output_fails_before_any_pair_is_scored(
+            self, tmp_path, corpus_tsv, monkeypatch, capsys, option):
+        """--out or --invalid-out under a regular file exits 4 once the corpus is read,
+        before any pair is scored, with nothing on stdout."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+
+        def score_pairs(*args, **kwargs):
+            raise AssertionError("the corpus was scored")
+
+        monkeypatch.setattr(cli, "score_pairs", score_pairs)
+        assert main(["score", "--pairs", str(corpus_tsv), option, str(blocker / "x.tsv")]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error: ")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,
                                                        monkeypatch):
@@ -800,15 +841,20 @@ class TestExitCodes:
         assert main(["filter", *args, "--out-dir", str(out_dir)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    @pytest.mark.parametrize("rows", [
-        f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\t{AR_LINE}\t{EN_LINE}\n",
-        f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\tنص\ttext\tSatisfactory\n",
-    ], ids=["unlabeled-pair", "one-label-only"])
-    def test_corpus_evaluate_cannot_use_is_format_error(self, tmp_path, capsys, command, rows):
+    @pytest.mark.parametrize("rows, message", [
+        (f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\t{AR_LINE}\t{EN_LINE}\n",
+         "pair '2' is unlabeled"),
+        (f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\tنص\ttext\tSatisfactory\n",
+         "evaluation needs at least one pair of each label"),
+        (f"1\t{AR_LINE}\t{EN_LINE}\tSatisfactory\n2\t\ttext\tUnsatisfactory\n",
+         "labeled corpus has 1 unscorable pairs"),
+    ], ids=["unlabeled-pair", "one-label-only", "unscorable-pair"])
+    def test_corpus_evaluate_cannot_use_is_format_error(self, tmp_path, capsys, command, rows,
+                                                        message):
         path = tmp_path / "labeled.tsv"
         path.write_text(rows, encoding="utf-8")
         assert main([command, "--pairs", str(path)]) == EXIT_FORMAT
-        assert capsys.readouterr().err.startswith("input error: ")
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_invalid_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -881,7 +927,7 @@ class TestExitCodes:
         assert main(["score", "--pairs", str(corpus_tsv), "--model-a", str(path)]) == EXIT_CONFIG
         assert "alphabet_size must be an integer in 2..256, got 257" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["1:inf:1", "0:1:1e-12"])
+    @pytest.mark.parametrize("grid", ["1:inf:1", "0:1:1e-12", "1:2"])
     def test_sweep_rejects_unbounded_grid(self, corpus_tsv, capsys, grid):
         assert main(["sweep", "--pairs", str(corpus_tsv), "--grid", grid]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")

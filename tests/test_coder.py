@@ -180,6 +180,13 @@ class TestBlobValidation:
         with pytest.raises(CodecError):
             EncodedBlob.from_bytes(b"PPMC\x01")
 
+    def test_negative_length(self):
+        """from_bytes reads the length unsigned; a blob built by hand can still hold one."""
+        snap = primed_snapshot()
+        blob = encode(snap, b"xy")._replace(length=-1)
+        with pytest.raises(CodecError, match="negative length"):
+            decode(snap, blob)
+
 
 class TestDeterminism:
     def test_identical_blobs_across_runs(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bitextverify.corpus as corpus
-from bitextverify.cli import _pair_row, _write_lines
+from bitextverify.cli import _open_output, _pair_row
 from bitextverify.coder import ideal_bits
 from bitextverify.corpus import (
     CorpusFormatError,
@@ -206,7 +206,9 @@ FIELD = st.one_of(
 
 def _write_back_and_reload(pairs, directory):
     out = Path(directory) / "out.tsv"
-    _write_lines(out, [_pair_row(p) for p in pairs])
+    with _open_output(out) as fh:
+        for p in pairs:
+            print(_pair_row(p), file=fh)
     return load_tsv(out)
 
 
@@ -307,6 +309,10 @@ class TestEvaluate:
         pairs = [labeled("p1", SATISFACTORY), SentencePair("p2", "a", "b"), labeled("p3", UNSATISFACTORY)]
         with pytest.raises(ValueError, match="unlabeled"):
             evaluate(pairs, self.scores[:3], self.thresholds)
+
+    def test_scores_must_align_with_pairs(self):
+        with pytest.raises(ValueError, match="4 pairs but 3 scores"):
+            evaluate(self.pairs, self.scores[:-1], self.thresholds)
 
     def test_single_class_corpus_rejected(self):
         with pytest.raises(ValueError):

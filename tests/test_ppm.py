@@ -71,6 +71,11 @@ class TestFormulas:
 
 
 class TestNewModel:
+    def test_not_equal_to_another_type(self):
+        model = PpmModel(2, 256)
+        assert model.__eq__((2, 256)) is NotImplemented
+        assert model != (2, 256) and model == PpmModel(2, 256)
+
     def test_empty_model_shape(self):
         model = PpmModel(5, 256)
         assert model.max_order == 5 and model.alphabet_size == 256
@@ -192,6 +197,12 @@ class TestUpdateAndTrain:
             SEEN: 4, BA: 2, YA: 2, LAM: 6, ALEF: 1
         }
         assert stats.total == 15 and stats.distinct == 5
+
+    def test_train_many_returns_how_many_texts_it_trained(self):
+        model = PpmModel(2, 256)
+        assert model.train_many(iter([])) == 0
+        assert model.train_many(iter([b"ab", b"", b"abc"])) == 3
+        assert model.train(b"ab") is None
 
     def test_order0_total_equals_symbols_trained(self):
         model = PpmModel(4, 256)
@@ -430,6 +441,12 @@ class TestSerialization:
         data = PpmModel(2, 64).dumps()
         with pytest.raises(ValueError):
             PpmModel.loads(data[:-1] if len(data) > 18 else data + b"x")
+
+    def test_trailing_bytes_rejected(self):
+        model = PpmModel(2, 64)
+        model.train([1, 2, 3])
+        with pytest.raises(ValueError, match="^trailing garbage after PPMV1 model dump$"):
+            PpmModel.loads(model.dumps() + b"\0")
 
     def test_empty_context_listed_once_is_not_a_duplicate(self):
         # __init__ pre-inserts the empty context; a dump without it still loads
