@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 from .corpus import (
@@ -135,6 +136,23 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext()
 
 
+def _check_distinct_outputs(out, invalid_out) -> None:
+    """Raise ValueError if `invalid_out` is the regular file that `out`, or stdout
+    when there is no `out`, writes to: each would write it from its start. A
+    device or a pipe keeps both outputs, interleaved, so it passes."""
+    if not invalid_out:
+        return
+    try:
+        mine = os.stat(invalid_out)
+        theirs = os.stat(out) if out else os.fstat(sys.stdout.fileno())
+        same = os.path.samestat(mine, theirs) and stat.S_ISREG(mine.st_mode)
+    except (AttributeError, OSError, ValueError):  # a file not made yet, or no stdout descriptor
+        same = bool(out) and os.path.realpath(out) == os.path.realpath(invalid_out)
+    if same:
+        raise ValueError(f"--invalid-out {invalid_out} is the file that "
+                         f"{'--out' if out else 'stdout'} writes to")
+
+
 def _pair_row(pair) -> str:
     cols = [pair.id, pair.text_a, pair.text_e]
     if pair.label or pair.category:
@@ -162,8 +180,10 @@ def cmd_score(args) -> int:
     """Score the corpus to a per-pair TSV on --out, else stdout. --out and --invalid-out
     are opened (created or truncated, like a shell redirect) once the corpus is read,
     before any pair is scored; without --invalid-out the unscorable pairs are listed
-    on stderr."""
+    on stderr. --invalid-out naming the file --out, or else stdout, writes to is an
+    options error."""
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
+    _check_distinct_outputs(args.out, args.invalid_out)
     ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
     with _open_output(args.out) as out, _open_output(args.invalid_out) as invalid_out:
         scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)

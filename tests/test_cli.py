@@ -830,6 +830,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("i/o error: ")
 
+    @pytest.mark.parametrize("spelling", ["one-path", "dot-path", "hard-link", "stdout"])
+    def test_one_file_for_both_score_outputs_is_config_error(self, tmp_path, monkeypatch,
+                                                              capsys, spelling):
+        """--out and --invalid-out on one regular file would each write it from its
+        start, losing one output. Every spelling of one file, stdout's included, exits
+        2 before any model or corpus file is read, and leaves that file as it was."""
+        monkeypatch.chdir(tmp_path)
+        Path("X").write_bytes(b"kept\n")
+        if spelling == "hard-link":
+            os.link("X", "L")
+        out = {"one-path": ["--out", "X"], "dot-path": ["--out", "./X"],
+               "hard-link": ["--out", "L"], "stdout": []}[spelling]
+        missing = ["--pairs", "missing.tsv", "--model-a", "missing.ppm"]
+        with open("X", "a", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+            if spelling == "stdout":
+                patch.setattr(sys, "stdout", stdout)
+            assert main(["score", *missing, *out, "--invalid-out", "X"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --invalid-out X is the file that ")
+        assert Path("X").read_bytes() == b"kept\n"
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_a_device_may_take_both_score_outputs(self, corpus_tsv):
+        """A device keeps both outputs, interleaved, so it is not one file to refuse."""
+        devnull = ["--out", os.devnull, "--invalid-out", os.devnull]
+        assert main(["score", "--pairs", str(corpus_tsv), *devnull]) == 0
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,
                                                        monkeypatch):
