@@ -36,24 +36,12 @@ _ERRORS = "bitextverify.arabic-numeric"
 
 
 def _escape(exc: UnicodeError) -> tuple[bytes | str, int]:
-    """Charmap error handler: write the unmapped characters as escapes, or read one.
-
-    Encoding writes on from the error up to the next Arabic-block letter, ASCII
-    as itself, so that the codec resumes there: a side dense in escapes costs
-    one call, not one per run of unmapped characters."""
-    i = exc.start
-    if isinstance(exc, UnicodeEncodeError):
-        text, image = exc.object, bytearray()
-        for j in range(i, len(text)):
-            cp = ord(text[j])
-            if cp < _ESCAPE:
-                image.append(cp)
-            elif ARABIC_BLOCK_FIRST <= cp <= ARABIC_BLOCK_LAST:
-                return bytes(image), j
-            else:
-                image.append(_ESCAPE)
-                image += cp.to_bytes(3, "big")
-        return bytes(image), len(text)
+    """Charmap error handler: write each unmapped character as its escape, or read one."""
+    i, j = exc.start, exc.end
+    if isinstance(exc, UnicodeEncodeError):  # UTF-32-BE's zero top byte becomes DEL
+        image = bytearray(codecs.utf_32_be_encode(exc.object[i:j], "surrogatepass")[0])
+        image[::4] = bytes([_ESCAPE]) * (j - i)
+        return bytes(image), j
     if i + 4 > len(exc.object):
         raise TransformError(f"truncated escape sequence at offset {i}")
     cp = int.from_bytes(exc.object[i + 1:i + 4], "big")

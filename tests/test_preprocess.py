@@ -1,10 +1,8 @@
-import codecs
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bitextverify import preprocess
 from bitextverify.preprocess import (
     ARABIC_BLOCK_FIRST,
     ARABIC_BLOCK_LAST,
@@ -124,26 +122,6 @@ any_text = st.text(
 @given(any_text)
 def test_codec_matches_the_frozen_recoding_on_text(text):
     assert arabic_to_numeric(text) == _ref_arabic_to_numeric(text)
-
-
-def test_escape_dense_text_encodes_in_one_handler_call():
-    """The error handler writes on up to the next Arabic-block letter, so text that
-    alternates ASCII and escaped characters costs one call, not one per escape,
-    and the codec resumes at each Arabic run."""
-    starts = []
-
-    def counting(exc):
-        starts.append(exc.start)
-        return preprocess._escape(exc)
-
-    codecs.register_error(preprocess._ERRORS, counting)
-    try:
-        for text, expected in (("aé" * 1000, [1]), ("é" + "م" * 3 + "éa\x7f" + "م", [0, 4])):
-            starts.clear()
-            assert arabic_to_numeric(text) == _ref_arabic_to_numeric(text)
-            assert starts == expected
-    finally:
-        codecs.register_error(preprocess._ERRORS, preprocess._escape)
 
 
 def _decoded_or_error(decode, data):
