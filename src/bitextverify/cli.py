@@ -10,7 +10,6 @@ import contextlib
 import json
 import math
 import os
-import stat
 import sys
 
 from .corpus import (
@@ -136,23 +135,6 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext()
 
 
-def _check_distinct_outputs(out, invalid_out) -> None:
-    """Raise ValueError if `invalid_out` is the regular file that `out`, or stdout
-    when there is no `out`, writes to: each would write it from its start. A
-    device or a pipe keeps both outputs, interleaved, so it passes."""
-    if not invalid_out:
-        return
-    try:
-        mine = os.stat(invalid_out)
-        theirs = os.stat(out) if out else os.fstat(sys.stdout.fileno())
-        same = os.path.samestat(mine, theirs) and stat.S_ISREG(mine.st_mode)
-    except (AttributeError, OSError, ValueError):  # a file not made yet, or no stdout descriptor
-        same = bool(out) and os.path.realpath(out) == os.path.realpath(invalid_out)
-    if same:
-        raise ValueError(f"--invalid-out {invalid_out} is the file that "
-                         f"{'--out' if out else 'stdout'} writes to")
-
-
 def _pair_row(pair) -> str:
     cols = [pair.id, pair.text_a, pair.text_e]
     if pair.label or pair.category:
@@ -177,27 +159,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    """Score the corpus to a per-pair TSV on --out, else stdout. --out and --invalid-out
-    are opened (created or truncated, like a shell redirect) once the corpus is read,
-    before any pair is scored; without --invalid-out the unscorable pairs are listed
-    on stderr. --invalid-out naming the file --out, or else stdout, writes to is an
-    options error."""
+    """Score the corpus to a per-pair TSV on --out, else stdout, and list each
+    unscorable pair on stderr as an `id<TAB>reason` row. --out is opened (created or
+    truncated, like a shell redirect) once the corpus is read, before any pair is
+    scored, so it may name the input file."""
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
-    _check_distinct_outputs(args.out, args.invalid_out)
     ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
-    with _open_output(args.out) as out, _open_output(args.invalid_out) as invalid_out:
+    with _open_output(args.out) as out:
         scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
-        invalid = sum(s.score is None for s in scored)
-        if invalid and not invalid_out:
-            print(f"{invalid} invalid pairs (use --invalid-out to capture):", file=sys.stderr)
         print(PairScore.TSV_HEADER, file=out)
         for s in scored:
             if s.score:
                 print(s.score.tsv_row(), file=out)
-            elif invalid_out:
-                print(f"{s.pair.id}\t{s.error}", file=invalid_out)
             else:
-                print(f"  {s.pair.id}\t{s.error}", file=sys.stderr)
+                print(f"{s.pair.id}\t{s.error}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -311,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", parents=[shared, thresholds], help="score pairs to a per-pair TSV")
     p.add_argument("--out", help="output TSV (default: stdout)")
-    p.add_argument("--invalid-out", help="TSV listing unscorable pairs")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", parents=[shared, thresholds],

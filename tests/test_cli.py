@@ -280,22 +280,25 @@ class TestScore:
         assert lines[1].split("\t")[0] == "1"
 
     def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path, corpus_tsv, capsys):
-        """Without --out the TSV goes to stdout byte for byte; without --invalid-out the
-        unscorable pairs are listed on stderr under their count."""
+        """Without --out the TSV goes to stdout byte for byte. The unscorable pairs are
+        listed on stderr as bare `id<TAB>reason` rows, and filter's report.json lists
+        the same pairs."""
         pairs = tmp_path / "mixed.tsv"
         pairs.write_text(corpus_tsv.read_text(encoding="utf-8") + "5\t\ttext\n6\tنص\t\n",
                          encoding="utf-8")
-        out, invalid = tmp_path / "s.tsv", tmp_path / "inv.tsv"
-        assert main(["score", "--pairs", str(pairs), "--out", str(out),
-                     "--invalid-out", str(invalid)]) == 0
-        assert capsys.readouterr() == ("", "")
+        out = tmp_path / "s.tsv"
+        invalid_rows = "5\tempty arabic side\n6\tempty english side\n"
+        assert main(["score", "--pairs", str(pairs), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", invalid_rows)
         assert len(out.read_text(encoding="utf-8").splitlines()) == 5
-        assert invalid.read_bytes() == b"5\tempty arabic side\n6\tempty english side\n"
         assert main(["score", "--pairs", str(pairs)]) == 0
         captured = capsys.readouterr()
         assert captured.out.encode("utf-8") == out.read_bytes()
-        assert captured.err == ("2 invalid pairs (use --invalid-out to capture):\n"
-                                "  5\tempty arabic side\n  6\tempty english side\n")
+        assert captured.err == invalid_rows
+        out_dir = tmp_path / "filtered"
+        assert main(["filter", "--pairs", str(pairs), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["invalid"] == [["5", "empty arabic side"], ["6", "empty english side"]]
 
     def test_identical_pair_satisfactory(self, tmp_path):
         # identical pipeline on both sides: same model, identity transform
@@ -311,15 +314,14 @@ class TestScore:
         row = out.read_text(encoding="utf-8").splitlines()[1].split("\t")
         assert row[5] == "1.0000" and row[6] == "1.0000" and row[7] == "Satisfactory"
 
-    def test_empty_side_routed_to_invalid(self, tmp_path):
+    def test_empty_side_routed_to_invalid(self, tmp_path, capsys):
         pairs = tmp_path / "p.tsv"
         pairs.write_text("1\tنص\ttext\n2\t\tenglish only\n", encoding="utf-8")
         out = tmp_path / "s.tsv"
-        invalid = tmp_path / "inv.tsv"
-        code = main(["score", "--pairs", str(pairs), "--out", str(out), "--invalid-out", str(invalid)])
+        code = main(["score", "--pairs", str(pairs), "--out", str(out)])
         assert code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2  # header + pair 1
-        assert invalid.read_text(encoding="utf-8").splitlines() == ["2\tempty arabic side"]
+        assert capsys.readouterr().err.splitlines() == ["2\tempty arabic side"]
 
     def test_deterministic_across_runs(self, tmp_path, corpus_tsv):
         outs = []
@@ -814,11 +816,11 @@ class TestExitCodes:
                      "--out-dir", str(blocker / "out")]) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error: ")
 
-    @pytest.mark.parametrize("option", ["--out", "--invalid-out"])
+    @pytest.mark.parametrize("option", ["--out"])
     def test_unwritable_score_output_fails_before_any_pair_is_scored(
             self, tmp_path, corpus_tsv, monkeypatch, capsys, option):
-        """--out or --invalid-out under a regular file exits 4 once the corpus is read,
-        before any pair is scored, with nothing on stdout."""
+        """--out under a regular file exits 4 once the corpus is read, before any pair
+        is scored, with nothing on stdout."""
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
 
@@ -830,32 +832,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("i/o error: ")
 
-    @pytest.mark.parametrize("spelling", ["one-path", "dot-path", "hard-link", "stdout"])
-    def test_one_file_for_both_score_outputs_is_config_error(self, tmp_path, monkeypatch,
-                                                              capsys, spelling):
-        """--out and --invalid-out on one regular file would each write it from its
-        start, losing one output. Every spelling of one file, stdout's included, exits
-        2 before any model or corpus file is read, and leaves that file as it was."""
+    def test_invalid_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """score has no --invalid-out: stderr lists the unscorable pairs. The option
+        exits 2 before any model or corpus file is read, and leaves its file as it was."""
         monkeypatch.chdir(tmp_path)
         Path("X").write_bytes(b"kept\n")
-        if spelling == "hard-link":
-            os.link("X", "L")
-        out = {"one-path": ["--out", "X"], "dot-path": ["--out", "./X"],
-               "hard-link": ["--out", "L"], "stdout": []}[spelling]
         missing = ["--pairs", "missing.tsv", "--model-a", "missing.ppm"]
-        with open("X", "a", encoding="utf-8") as stdout, monkeypatch.context() as patch:
-            if spelling == "stdout":
-                patch.setattr(sys, "stdout", stdout)
-            assert main(["score", *missing, *out, "--invalid-out", "X"]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(
-            "configuration error: --invalid-out X is the file that ")
+        assert main(["score", *missing, "--invalid-out", "X"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --invalid-out X" in capsys.readouterr().err
         assert Path("X").read_bytes() == b"kept\n"
-
-    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
-    def test_a_device_may_take_both_score_outputs(self, corpus_tsv):
-        """A device keeps both outputs, interleaved, so it is not one file to refuse."""
-        devnull = ["--out", os.devnull, "--invalid-out", os.devnull]
-        assert main(["score", "--pairs", str(corpus_tsv), *devnull]) == 0
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_alphabet_too_small_is_config_error(self, tmp_path, corpus_tsv, jobs,
