@@ -86,8 +86,8 @@ def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
     dump data/<language>.ppm. Scoring never primes; only `train` does."""
 
     def side(path, language: str) -> tuple[PpmModel, str]:
-        model = PpmModel.load(path or os.path.join(DATA_DIR, f"{language}.ppm"))
-        return model.snapshot(), str(path) if path else f"bundled:{language}"
+        model = PpmModel.load(os.path.join(DATA_DIR, f"{language}.ppm") if path is None else path)
+        return model.snapshot(), f"bundled:{language}" if path is None else str(path)
 
     return side(args.model_a, "arabic"), side(args.model_e, "english")
 
@@ -97,19 +97,16 @@ def _load_inputs(args):
     order: the options, before anything is read, then the models, then the corpus."""
     if args.jobs < 1:  # pool_size checks again for library callers
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if not args.model_a and args.transform != ARABIC_NUMERIC:
-        raise ValueError(f"--transform {args.transform} needs --model-a: the bundled "
-                         f"Arabic model is primed with --transform {ARABIC_NUMERIC}")
     if args.format == "aligned":
-        if args.pairs:
+        if args.pairs is not None:
             raise ValueError("--pairs is read only with --format tsv")
-        if not (args.arabic and args.english):
+        if None in (args.arabic, args.english):
             raise ValueError("aligned format needs --arabic and --english")
         return _load_models(args), load_corpus(args.arabic, "aligned", english_path=args.english)
     for option, value in (("--arabic", args.arabic), ("--english", args.english)):
-        if value:
+        if value is not None:
             raise ValueError(f"{option} is read only with --format aligned")
-    if not args.pairs:
+    if args.pairs is None:
         raise ValueError("tsv format needs --pairs")
     return _load_models(args), load_corpus(args.pairs, "tsv")
 
@@ -118,7 +115,7 @@ def _score_corpus(args, thresholds: ThresholdConfig):
     """Load the models, then the corpus, named by `args`; return the scored pairs,
     each carrying its input pair."""
     ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
-    return score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+    return score_pairs(pairs, model_a, model_e, thresholds, args.jobs)
 
 
 def _labeled_scores(scored) -> tuple[list, list[PairScore]]:
@@ -130,9 +127,10 @@ def _labeled_scores(scored) -> tuple[list, list[PairScore]]:
 
 
 def _open_output(path):
-    """`path` opened for text output, created or truncated like a shell redirect. No
-    path gives a context yielding None, which print() takes as stdout."""
-    return open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext()
+    """`path` opened for text output, created or truncated like a shell redirect. None
+    gives a context yielding None, which print() takes as stdout."""
+    return (contextlib.nullcontext() if path is None
+            else open(path, "w", encoding="utf-8", newline="\n"))
 
 
 def _pair_row(pair) -> str:
@@ -166,7 +164,7 @@ def cmd_score(args) -> int:
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
     ((model_a, _), (model_e, _)), pairs = _load_inputs(args)
     with _open_output(args.out) as out:
-        scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+        scored = score_pairs(pairs, model_a, model_e, thresholds, args.jobs)
         print(PairScore.TSV_HEADER, file=out)
         for s in scored:
             if s.score:
@@ -202,7 +200,7 @@ def cmd_filter(args) -> int:
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
     ((model_a, id_a), (model_e, id_e)), pairs = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs, args.transform)
+    parts = filter_corpus(pairs, model_a, model_e, thresholds, args.jobs)
     names = ("accepted", "rejected", "invalid")
     counts, per_category = {}, {}
     for name, part in zip(names, parts):
@@ -224,7 +222,7 @@ def cmd_filter(args) -> int:
             "arabic": {"id": id_a, "hash": model_a.config_hash().hex()},
             "english": {"id": id_e, "hash": model_e.config_hash().hex()},
         },
-        "transform": {"arabic": args.transform, "english": IDENTITY},
+        "transform": {"arabic": ARABIC_NUMERIC, "english": IDENTITY},
     }
     with _open_output(os.path.join(args.out_dir, "report.json")) as out:
         print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False), file=out)
@@ -275,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--english", help="English side of a line-aligned pair of files")
     shared.add_argument("--model-a", help="Arabic-side model file (default: bundled desk corpus)")
     shared.add_argument("--model-e", help="English-side model file (default: bundled desk corpus)")
-    shared.add_argument("--transform", choices=TRANSFORM_IDS, default=ARABIC_NUMERIC,
-                        help="Arabic-side transform (default arabic-numeric; "
-                        "another needs --model-a)")
     shared.add_argument("--jobs", type=int, default=1,
                         help="parallel scoring processes (results are order-stable)")
     thresholds, defaults = argparse.ArgumentParser(add_help=False), ThresholdConfig()
@@ -321,6 +316,9 @@ def main(argv=None) -> int:
     except CorpusFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except UnicodeEncodeError as exc:  # a ValueError, raised by writing an output
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

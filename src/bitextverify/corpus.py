@@ -24,7 +24,6 @@ from .metrics import (
     verdict,
 )
 from .ppm import PpmModel
-from .preprocess import ARABIC_NUMERIC
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -233,7 +232,6 @@ def score_pairs(
     model_e: PpmModel,
     thresholds: ThresholdConfig | None = None,
     jobs: int = 1,
-    arabic_transform: str = ARABIC_NUMERIC,
 ) -> list[ScoredPair]:
     """Score every pair, preserving input order; invalid pairs carry their reason.
 
@@ -258,7 +256,7 @@ def score_pairs(
         key = (pair.text_a, pair.text_e)
         if key not in distinct:
             try:
-                distinct[key] = prepare_sides(pair, arabic_transform, known)
+                distinct[key] = prepare_sides(pair, known)
             except InvalidPairError as exc:
                 distinct[key] = exc.reason
     del known  # this call peaks while it builds the results: free what is done
@@ -405,14 +403,13 @@ def filter_corpus(
     model_e: PpmModel,
     thresholds: ThresholdConfig | None = None,
     jobs: int = 1,
-    arabic_transform: str = ARABIC_NUMERIC,
 ) -> tuple[list[ScoredPair], list[ScoredPair], list[ScoredPair]]:
     """Partition a corpus by the hybrid verdict into (accepted, rejected, invalid).
 
     Each list keeps input order; an invalid pair, one that cannot be scored,
     carries its reason in `.error`.
     """
-    scored = score_pairs(pairs, model_a, model_e, thresholds, jobs, arabic_transform)
+    scored = score_pairs(pairs, model_a, model_e, thresholds, jobs)
     accepted: list[ScoredPair] = []
     rejected: list[ScoredPair] = []
     invalid: list[ScoredPair] = []

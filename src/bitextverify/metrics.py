@@ -129,15 +129,14 @@ class PairScore(NamedTuple):
 
 
 def prepare_sides(
-    pair: "SentencePair", arabic_transform: str = ARABIC_NUMERIC,
-    known: tuple[dict, dict] | None = None,
+    pair: "SentencePair", known: tuple[dict, dict] | None = None,
 ) -> tuple[PreparedText, PreparedText]:
     """Both sides of a pair prepared for scoring, (arabic, english).
 
-    The Arabic side goes through `arabic_transform`, the English side through
-    the identity transform. An empty side, then a side of more than
-    MAX_SIDE_BYTES prepared bytes, raises InvalidPairError, the Arabic side
-    checked first. `known`, one dict per language from a text to its
+    The Arabic side goes through the arabic-numeric transform, the English
+    side through the identity transform. An empty side, then a side of more
+    than MAX_SIDE_BYTES prepared bytes, raises InvalidPairError, the Arabic
+    side checked first. `known`, one dict per language from a text to its
     PreparedText, lets a caller prepare each distinct text once.
     """
     if not pair.text_a:
@@ -146,7 +145,7 @@ def prepare_sides(
         raise InvalidPairError(pair.id, "empty english side")
     seen_a, seen_e = known or ({}, {})
     prep_a = seen_a.get(pair.text_a) or seen_a.setdefault(
-        pair.text_a, prepare(pair.text_a, arabic_transform))
+        pair.text_a, prepare(pair.text_a, ARABIC_NUMERIC))
     prep_e = seen_e.get(pair.text_e) or seen_e.setdefault(
         pair.text_e, prepare(pair.text_e, IDENTITY))
     if len(prep_a.data) > MAX_SIDE_BYTES:
@@ -179,10 +178,9 @@ def score_pair(
     model_a: PpmModel,
     model_e: PpmModel,
     thresholds: ThresholdConfig | None = None,
-    arabic_transform: str = ARABIC_NUMERIC,
 ) -> PairScore:
     """Score one sentence pair against frozen per-language models."""
-    prep_a, prep_e = prepare_sides(pair, arabic_transform)
+    prep_a, prep_e = prepare_sides(pair)
     return PairScore(pair.id, *pair_score(
         prep_a.char_length, prep_e.char_length,
         side_bits(model_a, prep_a.data), side_bits(model_e, prep_e.data),

@@ -196,17 +196,15 @@ class TestModelLoading:
         assert models == {language: {"id": f"bundled:{language}", "hash": digest}
                           for language, _, digest in BUNDLED}
 
-    # the hashes of the desk-corpus models primed at order 3, and of the Arabic one
-    # primed without the arabic-numeric transform
-    @pytest.mark.parametrize("order, transform, digests", [
-        ("3", ARABIC_NUMERIC, ["1c67455b8e1b9e14", "adedb43186074d5c"]),
-        ("5", IDENTITY, ["84214cb98949873b", "c17e2503c48e1d54"]),
-    ], ids=["order-3", "transform-identity"])
+    # the hashes of the desk-corpus models primed at order 3
+    @pytest.mark.parametrize("order, digests", [
+        ("3", ["1c67455b8e1b9e14", "adedb43186074d5c"]),
+    ], ids=["order-3"])
     def test_train_primes_other_parameters(self, tmp_path, corpus_tsv, monkeypatch, order,
-                                           transform, digests):
-        """Another order or Arabic transform: prime with train, score with the model files."""
+                                           digests):
+        """Another order: prime with train, score with the model files."""
         models = {}
-        for language, side_transform in (("arabic", transform), ("english", IDENTITY)):
+        for language, side_transform in (("arabic", ARABIC_NUMERIC), ("english", IDENTITY)):
             models[language] = str(tmp_path / f"{language}.ppm")
             assert main(["train", "--input", str(PACKAGE_DATA / f"{language}.txt"),
                          "--order", order, "--transform", side_transform,
@@ -214,24 +212,10 @@ class TestModelLoading:
         monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         out = tmp_path / "out"
         assert main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out),
-                     "--transform", transform,
                      "--model-a", models["arabic"], "--model-e", models["english"]]) == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [report["models"][language] for language in ("arabic", "english")] == [
             {"id": models[language], "hash": digest} for language, digest in zip(models, digests)]
-
-    @pytest.mark.parametrize("command", SCORING)
-    def test_other_transform_needs_a_model_file(self, tmp_path, corpus_tsv, monkeypatch,
-                                                capsys, command):
-        """The bundled Arabic model is primed with arabic-numeric; no other transform
-        primes one in its place."""
-        monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
-        out = tmp_path / "out"
-        extra = ["--out-dir", str(out)] if command == "filter" else []
-        assert main([command, "--pairs", str(corpus_tsv), "--transform", IDENTITY,
-                     *extra]) == EXIT_CONFIG
-        assert "--model-a" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_missing_dump_is_io_error(self, tmp_path, corpus_tsv, monkeypatch, capsys):
         """No fallback: a default run without its shipped dump fails, it does not prime."""
@@ -301,7 +285,7 @@ class TestScore:
         assert report["invalid"] == [["5", "empty arabic side"], ["6", "empty english side"]]
 
     def test_identical_pair_satisfactory(self, tmp_path):
-        # identical pipeline on both sides: same model, identity transform
+        # identical pipeline on both sides: same model; ASCII passes arabic-numeric unchanged
         src = tmp_path / "prime.txt"
         src.write_text("some shared priming text\n", encoding="utf-8")
         model = tmp_path / "m.ppm"
@@ -310,7 +294,7 @@ class TestScore:
         pairs.write_text("1\tsame text\tsame text\n", encoding="utf-8")
         out = tmp_path / "s.tsv"
         main(["score", "--pairs", str(pairs), "--out", str(out),
-              "--model-a", str(model), "--model-e", str(model), "--transform", "identity"])
+              "--model-a", str(model), "--model-e", str(model)])
         row = out.read_text(encoding="utf-8").splitlines()[1].split("\t")
         assert row[5] == "1.0000" and row[6] == "1.0000" and row[7] == "Satisfactory"
 
@@ -468,7 +452,7 @@ class TestFilter:
         pairs.write_text("".join(f"{i}\ttext {i}\ttext {i}\n" for i in range(10)), encoding="utf-8")
         out_dir = tmp_path / "out"
         assert main(["filter", "--pairs", str(pairs), "--model-a", str(model), "--model-e",
-                     str(model), "--transform", "identity", "--out-dir", str(out_dir)]) == 0
+                     str(model), "--out-dir", str(out_dir)]) == 0
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["percentages"] == {"accepted": 100.0, "rejected": 0.0}
         assert report["counts"]["accepted"] == 10
@@ -524,7 +508,7 @@ class TestStats:
         pairs = tmp_path / "p.tsv"
         pairs.write_text("1\tsame\tsame\n2\talso same\talso same\n", encoding="utf-8")
         assert main(["stats", "--pairs", str(pairs), "--model-a", str(model),
-                     "--model-e", str(model), "--transform", "identity"]) == 0
+                     "--model-e", str(model)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1].split("\t") == ["overall", "2", "0.00", "0.00"]
 
@@ -633,8 +617,7 @@ class TestParser:
     def test_scoring_commands_share_defaults(self):
         parser = cli.build_parser()
         shared = {"pairs": None, "format": "tsv", "arabic": None, "english": None,
-                  "model_a": None, "model_e": None, "transform": ARABIC_NUMERIC,
-                  "jobs": 1}
+                  "model_a": None, "model_e": None, "jobs": 1}
         for command in SCORING:
             extra = ["--out-dir", "out"] if command == "filter" else []
             args = vars(parser.parse_args([command, *extra]))
@@ -654,17 +637,23 @@ class TestParser:
         assert main([command, "--pairs", str(corpus_tsv), flag, "3", *extra]) == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [
-        pytest.param("train", "--alphabet", id="train-alphabet"),
-        pytest.param("score", "--scatter", id="score-scatter"),
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("train", "--alphabet", "3", id="train-alphabet"),
+        pytest.param("score", "--scatter", "3", id="score-scatter"),
+        *(pytest.param(command, "--transform", IDENTITY, id=f"{command}-transform")
+          for command in SCORING),
     ])
-    def test_removed_options_are_refused(self, tmp_path, corpus_tsv, command, flag, capsys):
-        """A model of another alphabet comes from the library, and `cut -f2-5,8` of the
-        score TSV gives the old --scatter columns."""
+    def test_removed_options_are_refused(self, tmp_path, corpus_tsv, command, flag, value,
+                                         capsys):
+        """A model of another alphabet comes from the library, `cut -f2-5,8` of the
+        score TSV gives the old --scatter columns, and scoring always recodes the
+        Arabic side with arabic-numeric."""
         inputs = (["--input", str(corpus_tsv), "--out", str(tmp_path / "m.ppm")]
                   if command == "train" else ["--pairs", str(corpus_tsv)])
-        assert main([command, *inputs, flag, "3"]) == 2
-        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "filter" else []
+        assert main([command, *inputs, flag, value, *extra]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -681,8 +670,9 @@ class TestExitCodes:
         assert main([*train, "--order", "-2"]) == EXIT_CONFIG
         assert main(["sweep", "--pairs", str(corpus_tsv), "--grid", "3:1:1"]) == EXIT_CONFIG
 
-    def test_unknown_flag_value_is_usage_error(self, corpus_tsv):
-        assert main(["score", "--pairs", str(corpus_tsv), "--transform", "rot13"]) == 2
+    def test_unknown_flag_value_is_usage_error(self, corpus_tsv, capsys):
+        assert main(["evaluate", "--pairs", str(corpus_tsv), "--metric", "rot13"]) == 2
+        assert "invalid choice: 'rot13'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, tmp_path, corpus_tsv, jobs):
@@ -693,9 +683,7 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [["sweep", "--grid", "nan"], ["filter", "--jobs", "0"],
-                                         ["score", "--jobs", "-1"],
-                                         ["score", "--transform", IDENTITY],
-                                         ["filter", "--transform", IDENTITY]], ids=" ".join)
+                                         ["score", "--jobs", "-1"]], ids=" ".join)
     def test_bad_option_exits_before_any_input_is_read(self, tmp_path, capsys, command):
         args = [*command, "--pairs", str(tmp_path / "missing.tsv")]
         if command[0] == "filter":
@@ -710,7 +698,9 @@ class TestExitCodes:
         (["--format", "aligned", "--arabic", "arabic", "--english", "english", "--pairs", "pairs"],
          "--pairs"),
         (["--format", "aligned", "--arabic", "arabic"], "--english"),
-    ], ids=["tsv-arabic", "tsv-english", "aligned-pairs", "aligned-no-english"])
+        (["--pairs", "pairs", "--arabic", ""], "--arabic"),
+    ], ids=["tsv-arabic", "tsv-english", "aligned-pairs", "aligned-no-english",
+            "tsv-empty-arabic"])
     def test_an_input_of_the_other_format_exits_before_any_input_is_read(
             self, tmp_path, capsys, monkeypatch, inputs, ignored):
         """A corpus option the chosen --format would not read is refused, not ignored."""
@@ -730,6 +720,37 @@ class TestExitCodes:
 
     def test_missing_required_input_is_config_error(self):
         assert main(["score"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("option", ["--model-a", "--model-e"])
+    def test_empty_model_path_is_io_error(self, tmp_path, corpus_tsv, capsys, option):
+        """An empty path names no file; it does not stand for the bundled model."""
+        out_dir = tmp_path / "out"
+        assert main(["filter", "--pairs", str(corpus_tsv), option, "",
+                     "--out-dir", str(out_dir)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not out_dir.exists()
+
+    def test_empty_out_path_is_io_error(self, corpus_tsv, capsys, monkeypatch):
+        """`score --out ""` names no file; it does not stand for stdout, and it fails
+        before any pair is scored."""
+
+        def score_pairs(*args, **kwargs):
+            raise AssertionError("the corpus was scored")
+
+        monkeypatch.setattr(cli, "score_pairs", score_pairs)
+        assert main(["score", "--pairs", str(corpus_tsv), "--out", ""]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and "''" in captured.err
+
+    def test_unencodable_stdout_is_io_error(self, tmp_path, capsys, monkeypatch):
+        """Writing an Arabic id to an ASCII stdout is an output failure, not a
+        configuration error."""
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("مرحبا\tمرحبا\thello\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main(["score", "--pairs", str(pairs)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: 'ascii' codec can't encode")
 
     def test_corrupt_model_is_config_error(self, tmp_path, corpus_tsv):
         model = PpmModel(2, 256)
