@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -197,6 +196,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_filter(args) -> int:
     """Partition the corpus into --out-dir, made after the corpus is read, before any scoring."""
+    import json
     thresholds = ThresholdConfig(args.theta_slr, args.theta_cr)
     ((model_a, id_a), (model_e, id_e)), pairs = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)

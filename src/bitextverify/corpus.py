@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import os
-import signal
 import warnings
-from array import array
 from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -183,6 +181,8 @@ def _score_forked(snapshots, walks: list[tuple], workers: int) -> list[list[floa
     as itself. Every child is reaped and every pipe closed; when this process
     raises, the children are killed first instead of waited for.
     """
+    import signal
+    from array import array
 
     def share_bits(w: int) -> list[list[float]]:
         return [side_bits(snapshots[side], data, cuts) for side, data, cuts in walks[w::workers]]

@@ -373,6 +373,17 @@ class TestEvaluateSweep:
             assert len(row.split("\t")) == 11
 
 
+def _run_without_site(script):
+    """Run script in a fresh interpreter without site (-S), with this checkout's
+    src/ on the path, and fail on a non-zero exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestFilter:
     def test_outputs_and_report(self, tmp_path, corpus_tsv):
         out_dir = tmp_path / "out"
@@ -490,13 +501,32 @@ class TestFilter:
             "outside = sorted(top - set(sys.stdlib_module_names))\n"
             "assert not outside, f'{outside} imported from outside the standard library'\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _run_without_site(script)
         assert (out_dir / "report.json").exists()
+
+    def test_codec_modules_skip_the_scoring_modules(self, tmp_path):
+        """The package root imports no submodule, and the model, coder and
+        transform modules import none of corpus, metrics and cli. A train run
+        leaves json (only filter writes it), signal and array (only the fork-join
+        uses them) unimported. Runs without site (-S), like the test above."""
+        prime = tmp_path / "prime.txt"
+        prime.write_text(f"{EN_LINE}\n", encoding="utf-8")
+        model = tmp_path / "m.ppm"
+        script = (
+            "import sys\n"
+            "import bitextverify\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('bitextverify.'))\n"
+            "assert not loaded, f'{loaded} imported by the package root'\n"
+            "import bitextverify.ppm, bitextverify.coder, bitextverify.preprocess\n"
+            "loaded = [m for m in ('corpus', 'metrics', 'cli') if f'bitextverify.{m}' in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported by the codec modules'\n"
+            "from bitextverify.cli import main\n"
+            f"assert main(['train', '--input', {str(prime)!r}, '--out', {str(model)!r}]) == 0\n"
+            "loaded = [m for m in ('json', 'signal', 'array') if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported by a train run'\n"
+        )
+        _run_without_site(script)
+        assert model.exists()
 
 
 class TestStats:
