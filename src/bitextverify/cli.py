@@ -22,9 +22,9 @@ from .corpus import (
     score_pairs,
     threshold_matrix,
 )
-from .metrics import METRIC_MODES, PairScore, ThresholdConfig
+from .metrics import METRIC_MODES, SIDE_TRANSFORMS, PairScore, ThresholdConfig
 from .ppm import DEFAULT_MAX_ORDER, PpmModel
-from .preprocess import ARABIC_NUMERIC, IDENTITY, TRANSFORM_IDS, apply_transform
+from .preprocess import IDENTITY, TRANSFORM_IDS, apply_transform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,7 +222,7 @@ def cmd_filter(args) -> int:
             "arabic": {"id": id_a, "hash": model_a.config_hash().hex()},
             "english": {"id": id_e, "hash": model_e.config_hash().hex()},
         },
-        "transform": {"arabic": ARABIC_NUMERIC, "english": IDENTITY},
+        "transform": SIDE_TRANSFORMS,
     }
     with _open_output(os.path.join(args.out_dir, "report.json")) as out:
         print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False), file=out)
@@ -240,6 +240,8 @@ def cmd_stats(args) -> int:
         raise CorpusFormatError("no scorable pairs")
     by_category: dict[str, list] = {}
     for s in valid:
+        if s.pair.category == "overall":
+            raise CorpusFormatError(f"pair {s.pair.id!r}: category 'overall' names the total row")
         by_category.setdefault(s.pair.category or UNCATEGORIZED, []).append(s.score)
     print("category\tpairs\tlen_a_greater_pct\tbits_a_greater_pct")
     for category, scores in [*sorted(by_category.items()), ("overall", [s.score for s in valid])]:

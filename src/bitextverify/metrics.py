@@ -30,6 +30,8 @@ METRIC_MODES = (METRIC_SLR, METRIC_CR, METRIC_BOTH)
 # scoring a side holds up to max_order + 1 contexts per byte of it: about 320 bytes of memory
 MAX_SIDE_BYTES = 65536
 
+SIDE_TRANSFORMS = {"arabic": ARABIC_NUMERIC, "english": IDENTITY}
+
 
 class _Thresholds(NamedTuple):
     theta_slr: float
@@ -57,17 +59,7 @@ class InvalidPairError(ValueError):
 
     def __init__(self, pair_id: str, reason: str):
         super().__init__(f"pair {pair_id!r}: {reason}")
-        self.pair_id = pair_id
         self.reason = reason
-
-
-def cross_entropy(bits: float, length: int) -> float:
-    """Average bits per character: code length divided by text length."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    return bits / length
 
 
 def code_ratio(bits_x: float, bits_y: float) -> float:
@@ -105,15 +97,13 @@ def verdict(slr_value: float, cr_value: float, thresholds: ThresholdConfig,
 
 
 class PairScore(NamedTuple):
-    """Per-pair lengths, code lengths, bit rates, ratios and verdict."""
+    """One scored pair: pair_id, then the score TSV's columns in the TSV's order."""
 
     pair_id: str
     len_a: int
     len_e: int
     bits_a: float
     bits_e: float
-    h_a: float
-    h_e: float
     slr: float
     cr: float
     verdict: str
@@ -131,13 +121,12 @@ class PairScore(NamedTuple):
 def prepare_sides(
     pair: "SentencePair", known: tuple[dict, dict] | None = None,
 ) -> tuple[PreparedText, PreparedText]:
-    """Both sides of a pair prepared for scoring, (arabic, english).
+    """Both sides of a pair prepared by SIDE_TRANSFORMS, (arabic, english).
 
-    The Arabic side goes through the arabic-numeric transform, the English
-    side through the identity transform. An empty side, then a side of more
-    than MAX_SIDE_BYTES prepared bytes, raises InvalidPairError, the Arabic
-    side checked first. `known`, one dict per language from a text to its
-    PreparedText, lets a caller prepare each distinct text once.
+    An empty side, then a side of more than MAX_SIDE_BYTES prepared bytes,
+    raises InvalidPairError, the Arabic side checked first. `known`, one dict
+    per language from a text to its PreparedText, lets a caller prepare each
+    distinct text once.
     """
     if not pair.text_a:
         raise InvalidPairError(pair.id, "empty arabic side")
@@ -145,9 +134,9 @@ def prepare_sides(
         raise InvalidPairError(pair.id, "empty english side")
     seen_a, seen_e = known or ({}, {})
     prep_a = seen_a.get(pair.text_a) or seen_a.setdefault(
-        pair.text_a, prepare(pair.text_a, ARABIC_NUMERIC))
+        pair.text_a, prepare(pair.text_a, SIDE_TRANSFORMS["arabic"]))
     prep_e = seen_e.get(pair.text_e) or seen_e.setdefault(
-        pair.text_e, prepare(pair.text_e, IDENTITY))
+        pair.text_e, prepare(pair.text_e, SIDE_TRANSFORMS["english"]))
     if len(prep_a.data) > MAX_SIDE_BYTES:
         raise InvalidPairError(pair.id, f"arabic side longer than {MAX_SIDE_BYTES} bytes")
     if len(prep_e.data) > MAX_SIDE_BYTES:
@@ -168,8 +157,7 @@ def pair_score(len_a: int, len_e: int, bits_a: float, bits_e: float,
     """Every PairScore field after pair_id, in order, of a pair whose sides have
     these lengths and code lengths: a caller builds PairScore(its id, *fields)."""
     slr_value, cr_value = slr(len_a, len_e), cr(bits_a, bits_e)
-    return (len_a, len_e, bits_a, bits_e, cross_entropy(bits_a, len_a),
-            cross_entropy(bits_e, len_e), slr_value, cr_value,
+    return (len_a, len_e, bits_a, bits_e, slr_value, cr_value,
             verdict(slr_value, cr_value, thresholds))
 
 

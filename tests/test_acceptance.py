@@ -305,8 +305,8 @@ def _random_scores(rng: random.Random, count: int) -> list[PairScore]:
         len_a, len_e = rng.randint(1, 300), rng.randint(1, 300)
         bits_a, bits_e = rng.uniform(1, 2400), rng.uniform(1, 2400)
         scores.append(
-            PairScore(str(i), len_a, len_e, bits_a, bits_e, bits_a / len_a,
-                      bits_e / len_e, slr(len_a, len_e), cr(bits_a, bits_e), SATISFACTORY)
+            PairScore(str(i), len_a, len_e, bits_a, bits_e,
+                      slr(len_a, len_e), cr(bits_a, bits_e), SATISFACTORY)
         )
     return scores
 
@@ -341,7 +341,7 @@ def test_criterion_07_substituted_reference_properties():
     pairs = [SentencePair(str(i), "x", "y", SATISFACTORY) for i in range(10_000)]
     pairs += [SentencePair(f"u{i}", "x", "y", UNSATISFACTORY) for i in range(2_000)]
     # satisfactory pairs judged satisfactory exactly 2029 times
-    flat = [PairScore(p.id, 1, 1, 1.0, 1.0, 1.0, 1.0,
+    flat = [PairScore(p.id, 1, 1, 1.0, 1.0,
                       1.0 if (p.label == SATISFACTORY and i < 2029) else 9.0,
                       1.0, SATISFACTORY)
             for i, p in enumerate(pairs)]

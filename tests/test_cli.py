@@ -558,6 +558,19 @@ class TestStats:
         out = capsys.readouterr().out
         assert "news" in out and "sport" in out and "overall" in out
 
+    def test_category_named_overall_is_format_error(self, tmp_path, capsys):
+        """A pair's category row would print beside the total row of the same name."""
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text(
+            "a1\tنص\ttext\tSatisfactory\toverall\n2\tنص اخر\tmore text\tSatisfactory\tnews\n"
+            "3\tمرحبا\thello\tSatisfactory\tnews\n",
+            encoding="utf-8",
+        )
+        assert main(["stats", "--pairs", str(pairs)]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: pair 'a1': category 'overall' names the total row\n"
+
 
 # sides that begin one another in both languages, so that a walk has several members
 _AGREE_SIDE = st.sampled_from(["a", "ab", "abc", "ab c", "hello", "hello there", "the",

@@ -40,10 +40,7 @@ from bitextverify.preprocess import ARABIC_NUMERIC, prepare
 
 
 def make_score(pair_id, slr_value, cr_value, len_a=10, len_e=10, bits_a=40.0, bits_e=40.0):
-    return PairScore(
-        pair_id, len_a, len_e, bits_a, bits_e,
-        bits_a / len_a, bits_e / len_e, slr_value, cr_value, SATISFACTORY,
-    )
+    return PairScore(pair_id, len_a, len_e, bits_a, bits_e, slr_value, cr_value, SATISFACTORY)
 
 
 class TestLoadTsv:

@@ -6,10 +6,10 @@ from bitextverify.metrics import (
     SATISFACTORY,
     UNSATISFACTORY,
     InvalidPairError,
+    PairScore,
     ThresholdConfig,
     code_ratio,
     cr,
-    cross_entropy,
     score_pair,
     slr,
     verdict,
@@ -18,21 +18,6 @@ from bitextverify.ppm import PpmModel
 
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
 length = st.integers(1, 10**6)
-
-
-class TestCrossEntropy:
-    def test_values(self):
-        assert cross_entropy(9.0, 2) == 4.5
-        assert cross_entropy(8.0 * 37, 37) == 8.0
-        assert cross_entropy(0.0, 5) == 0.0
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(1.0, 0)
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(-1.0, 3)
 
 
 class TestRatios:
@@ -158,8 +143,6 @@ class TestScorePair:
         assert score.len_a == 9 and score.len_e == 16
         assert score.slr == pytest.approx(16 / 9)
         assert score.cr == pytest.approx(max(score.bits_a / score.bits_e, score.bits_e / score.bits_a))
-        assert score.h_a == pytest.approx(score.bits_a / score.len_a)
-        assert score.h_e == pytest.approx(score.bits_e / score.len_e)
 
     def test_scoring_order_independent(self, small_models):
         model_a, model_e = small_models
@@ -178,3 +161,6 @@ class TestScorePair:
         assert cols[1] == "5" and cols[2] == "5"
         assert cols[7] in (SATISFACTORY, UNSATISFACTORY)
         float(cols[5]), float(cols[6])  # slr and cr parse as numbers
+        # the record holds the id and then exactly the TSV's columns, in order
+        assert PairScore._fields[1:] == tuple(PairScore.TSV_HEADER.split("\t")[1:])
+        assert len(cols) == len(PairScore._fields)

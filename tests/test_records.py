@@ -18,7 +18,7 @@ RECORDS = [
     PAIR,
     ScoredPair(PAIR, None, "empty arabic side"),
     EvalReport(Fraction(50), Fraction(75)),
-    PairScore("1", 2, 4, 8.0, 12.0, 4.0, 3.0, 2.0, 1.5, "Satisfactory"),
+    PairScore("1", 2, 4, 8.0, 12.0, 2.0, 1.5, "Satisfactory"),
     ThresholdConfig(),
     prepare("text"),
     EncodedBlob(bytes(8), 2, b"\x01"),
