@@ -9,7 +9,7 @@ threshold are not "exceeded" and pass.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coder import ideal_bits
@@ -45,7 +45,8 @@ class ThresholdConfig(_Thresholds):
 
     def __new__(cls, theta_slr: float = 2.5, theta_cr: float = 2.25):
         for name, value in (("theta_slr", theta_slr), ("theta_cr", theta_cr)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         return super().__new__(cls, theta_slr, theta_cr)
 

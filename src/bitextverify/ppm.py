@@ -303,9 +303,9 @@ class PpmModel:
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER,
                  alphabet_size: int = DEFAULT_ALPHABET_SIZE):
-        if not isinstance(max_order, int) or not 0 <= max_order <= MAX_ORDER:
+        if type(max_order) is not int or not 0 <= max_order <= MAX_ORDER:
             raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
-        if not isinstance(alphabet_size, int) or not 2 <= alphabet_size <= 256:
+        if type(alphabet_size) is not int or not 2 <= alphabet_size <= 256:
             raise ValueError(f"alphabet_size must be an integer in 2..256, got {alphabet_size!r}")
         self.max_order = max_order
         self.alphabet_size = alphabet_size

@@ -399,11 +399,26 @@ class TestFilter:
         assert report["transform"]["arabic"] == "arabic-numeric"
         assert set(report["models"]) == {"arabic", "english"}
 
-    def test_jobs_byte_identical(self, tmp_path, corpus_tsv):
+    @pytest.mark.parametrize("rows", [
+        None,
+        "1\tمرحبا بكم\thello there\n2\tمرحبا\thello\n3\tمر\thel\n4\tعالم\tworld\n"
+        "5\tمرحبا\thello there\n6\tمر\t\n",
+    ], ids=["sentences", "prefixes"])
+    def test_jobs_byte_identical(self, tmp_path, corpus_tsv, monkeypatch, rows):
+        """The four outputs are the same bytes at --jobs 1 and 2. In the second
+        corpus the Arabic sides begin one another, and so do the English sides, so
+        filter scores each chain of them in one walk, and --jobs 2 splits the walks
+        over two processes; pair 6 has an empty English side."""
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 2)  # a fork even on one core
+        pairs = corpus_tsv
+        if rows is not None:
+            pairs = tmp_path / "prefixes.tsv"
+            pairs.write_text(rows, encoding="utf-8")
         outputs = []
         for jobs, name in (("1", "one"), ("2", "two")):
             out_dir = tmp_path / name
-            main(["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out_dir), "--jobs", jobs])
+            assert main(["filter", "--pairs", str(pairs), "--out-dir", str(out_dir),
+                         "--jobs", jobs]) == 0
             outputs.append(
                 {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
             )
@@ -686,13 +701,14 @@ class TestParser:
         *(pytest.param(command, "--transform", IDENTITY, id=f"{command}-transform")
           for command in SCORING),
     ])
-    def test_removed_options_are_refused(self, tmp_path, corpus_tsv, command, flag, value,
-                                         capsys):
+    def test_removed_options_are_refused(self, tmp_path, command, flag, value, capsys):
         """A model of another alphabet comes from the library, `cut -f2-5,8` of the
         score TSV gives the old --scatter columns, and scoring always recodes the
-        Arabic side with arabic-numeric."""
-        inputs = (["--input", str(corpus_tsv), "--out", str(tmp_path / "m.ppm")]
-                  if command == "train" else ["--pairs", str(corpus_tsv)])
+        Arabic side with arabic-numeric. The option exits 2 before the (missing)
+        input is read, which would exit 4."""
+        missing = str(tmp_path / "missing.tsv")
+        inputs = (["--input", missing, "--out", str(tmp_path / "m.ppm")]
+                  if command == "train" else ["--pairs", missing])
         extra = ["--out-dir", str(tmp_path / "out")] if command == "filter" else []
         assert main([command, *inputs, flag, value, *extra]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

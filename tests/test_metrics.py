@@ -106,7 +106,9 @@ class TestThresholdConfig:
         thresholds = ThresholdConfig()
         assert thresholds.theta_slr == 2.5 and thresholds.theta_cr == 2.25
 
-    @pytest.mark.parametrize("slr_t,cr_t", [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (float("nan"), 1.0)])
+    @pytest.mark.parametrize("slr_t,cr_t", [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0),
+                                            (float("nan"), 1.0), (True, 1.0),
+                                            pytest.param(10**400, 1.0, id="10**400-1.0")])
     def test_invalid_rejected(self, slr_t, cr_t):
         with pytest.raises(ValueError):
             ThresholdConfig(slr_t, cr_t)

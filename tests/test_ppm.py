@@ -90,7 +90,7 @@ class TestNewModel:
         assert len(model) == 1  # no higher-order contexts ever created
 
     @pytest.mark.parametrize("order,alphabet", [
-        (-1, 256), (5, 1), (5, 0), (2.5, 256), (256, 4), (1, 257)])
+        (-1, 256), (5, 1), (5, 0), (2.5, 256), (256, 4), (1, 257), (True, 256), (3, True)])
     def test_invalid_parameters(self, order, alphabet):
         with pytest.raises(ValueError):
             PpmModel(order, alphabet)

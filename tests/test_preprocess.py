@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bitextverify.preprocess import (
     ARABIC_BLOCK_FIRST,
@@ -80,6 +80,7 @@ mixed_text = st.text(
 
 
 @given(mixed_text)
+@example("\x7f é \U0001F600 مرحبا")  # DEL, Latin-1, astral and Arabic, every time
 def test_round_trip_bijectivity(text):
     assert numeric_to_arabic(arabic_to_numeric(text)) == text
 
