@@ -78,15 +78,24 @@ def parse_grid(spec: str) -> list[float]:
 
 # the bundled files sit next to this module: the package installs as a directory
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+# SHA-256 of data/<language>.table, PpmModel.table_bytes() of the shipped dump
+# data/<language>.ppm; a test checks each table against its dump
+TABLE_SHA256 = {
+    "arabic": "97f2e83ca4e5f1e2531fef536d5c9cf21820f8a04c18138258db3d8aadd6e628",
+    "english": "4739e4886d1ce5b1b9bebf3c68fcf7802657ff7edea59cfd475d5dcdd71fb138",
+}
 
 
 def _load_models(args) -> tuple[tuple[PpmModel, str], tuple[PpmModel, str]]:
     """(snapshot, id) per side: the model file if one is given, else the shipped
-    dump data/<language>.ppm. Scoring never primes; only `train` does."""
+    table data/<language>.table, checked against its pinned digest. Scoring never
+    primes; only `train` does."""
 
     def side(path, language: str) -> tuple[PpmModel, str]:
-        model = PpmModel.load(os.path.join(DATA_DIR, f"{language}.ppm") if path is None else path)
-        return model.snapshot(), f"bundled:{language}" if path is None else str(path)
+        if path is not None:
+            return PpmModel.load(path).snapshot(), str(path)
+        table = os.path.join(DATA_DIR, f"{language}.table")
+        return PpmModel.load_table(table, TABLE_SHA256[language]).snapshot(), f"bundled:{language}"
 
     return side(args.model_a, "arabic"), side(args.model_e, "english")
 
@@ -208,7 +217,9 @@ def cmd_filter(args) -> int:
         with _open_output(os.path.join(args.out_dir, f"{name}.tsv")) as out:
             for item in part:
                 category = item.pair.category or UNCATEGORIZED
-                per_category.setdefault(category, dict.fromkeys(names, 0))[name] += 1
+                tally = per_category.get(category) or per_category.setdefault(
+                    category, dict.fromkeys(names, 0))  # a new dict only for a new category
+                tally[name] += 1
                 print(_pair_row(item.pair) + (f"\t{item.error}" if item.error else ""), file=out)
     valid = counts["accepted"] + counts["rejected"]
     percentages = {name: 100.0 * counts[name] / valid if valid else 0.0 for name in names[:2]}

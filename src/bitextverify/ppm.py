@@ -45,10 +45,15 @@ the source trains again, and ``loads`` gives the contexts that list the same
 ``train_many`` after either copies the table, all but its total-1 entries,
 before it writes, so a model never trained again (the CLI's) is never copied.
 SHA-256 comes from the built-in module if it can: hashlib maps OpenSSL.
+
+``table_bytes`` marshals a model's table, shared entries once; ``load_table``
+rebuilds the model from such a file without ``loads``' parsing, and only from
+bytes whose SHA-256 is the digest its caller pins.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import struct
 from collections import Counter
@@ -479,6 +484,28 @@ class PpmModel:
         with open(path, "rb") as fh:
             data = fh.read(len(_MAGIC))  # refuse a file that is not a dump before reading on
             return cls.loads(data + fh.read() if data == _MAGIC else data)
+
+    def table_bytes(self) -> bytes:
+        """(max_order, alphabet_size, config_hash(), table) in marshal format 4, which
+        CPython 3.10-3.14 all read, for load_table. Entries the table shares are
+        written once, so a table of a loads() model loads back with its sharing."""
+        state = (self.max_order, self.alphabet_size, self.config_hash(), self._table)
+        return marshal.dumps(state, 4)
+
+    @classmethod
+    def load_table(cls, path, digest: str) -> "PpmModel":
+        """The model in the table_bytes() file at `path`, whose SHA-256 must be the hex
+        `digest`. Raises ValueError naming `path` on any other bytes, a truncated file
+        included, before they are unmarshalled: marshal trusts its input."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if sha256(data).hexdigest() != digest:
+            raise ValueError(f"{path}: SHA-256 is not the pinned {digest}; the table is damaged")
+        max_order, alphabet_size, model_hash, table = marshal.loads(data)
+        model = cls(max_order, alphabet_size)
+        model._table, model._hash = table, model_hash
+        model._shared = True  # contexts share entries, as after loads: train copies the table first
+        return model
 
     def config_hash(self) -> bytes:
         """8-byte digest over the full model state (order, alphabet, statistics):

@@ -3,12 +3,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import marshal
 import os
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
+import types
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fnmatch import fnmatchcase
 from fractions import Fraction
@@ -218,16 +220,70 @@ class TestModelLoading:
             {"id": models[language], "hash": digest} for language, digest in zip(models, digests)]
 
     def test_missing_dump_is_io_error(self, tmp_path, corpus_tsv, monkeypatch, capsys):
-        """No fallback: a default run without its shipped dump fails, it does not prime."""
+        """No fallback: a default run without its shipped table fails; it neither
+        loads the dump beside it nor primes."""
         data = tmp_path / "data"
-        data.mkdir()
-        for name in ("arabic.txt", "english.txt", "english.ppm"):
-            shutil.copy(PACKAGE_DATA / name, data / name)
+        shutil.copytree(PACKAGE_DATA, data)
+        (data / "arabic.table").unlink()
         monkeypatch.setattr(cli, "DATA_DIR", str(data))
         monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         args = ["filter", "--pairs", str(corpus_tsv), "--out-dir", str(tmp_path / "out")]
         assert main(args) == EXIT_IO
-        assert "arabic.ppm" in capsys.readouterr().err
+        assert "arabic.table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "append"])
+    def test_damaged_table_exits_before_the_corpus_is_read(self, tmp_path, corpus_tsv,
+                                                           monkeypatch, capsys, damage):
+        """One byte flipped, cut or added: the digest differs, so the table is never
+        unmarshalled, and the run exits 2 naming it before any corpus line is read."""
+        data = tmp_path / "data"
+        shutil.copytree(PACKAGE_DATA, data)
+        table = data / "arabic.table"
+        raw = bytearray(table.read_bytes())
+        if damage == "flip":
+            raw[len(raw) // 2] ^= 0x10
+        elif damage == "truncate":
+            del raw[-1:]
+        else:
+            raw += b"\0"
+        table.write_bytes(raw)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read, or a damaged table unmarshalled")
+
+        monkeypatch.setattr(cli, "DATA_DIR", str(data))
+        monkeypatch.setattr(cli, "load_corpus", refuse)
+        # ppm's own name only: importlib reads bytecode through marshal.loads
+        monkeypatch.setattr("bitextverify.ppm.marshal", types.SimpleNamespace(loads=refuse))
+        out_dir = tmp_path / "out"
+        args = ["filter", "--pairs", str(corpus_tsv), "--out-dir", str(out_dir)]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"configuration error: {table}: SHA-256 is not the "
+                                           f"pinned {cli.TABLE_SHA256['arabic']}; the table is "
+                                           "damaged\n")
+        assert not out_dir.exists()
+
+    def test_a_table_is_no_model_file(self, tmp_path, corpus_tsv, capsys):
+        """The table format serves only the defaults: a --model-a file goes through loads."""
+        out_dir = tmp_path / "out"
+        assert main(["filter", "--pairs", str(corpus_tsv), "--model-a",
+                     str(PACKAGE_DATA / "arabic.table"), "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: not a PPMV1 model dump\n"
+
+    def test_shipped_tables_equal_their_dumps(self):
+        """Each table the defaults load, under its pinned digest, is the model loads
+        builds from the shipped dump: the same dump bytes, hash and entry sharing. The
+        table_bytes() of a fresh load unmarshals to the same table (marshal's
+        reference flags follow refcounts, so the bytes may differ)."""
+        for (language, _, digest), runs in zip(BUNDLED, (923, 1145)):
+            dump = (PACKAGE_DATA / f"{language}.ppm").read_bytes()
+            table = PACKAGE_DATA / f"{language}.table"
+            model = PpmModel.load_table(table, cli.TABLE_SHA256[language])
+            assert model.dumps() == dump
+            assert model.config_hash().hex() == digest
+            assert len({id(entry) for entry in model._table.values()}) == runs
+            fresh = PpmModel.loads(dump).table_bytes()
+            assert marshal.loads(fresh) == marshal.loads(table.read_bytes())
 
     def test_every_data_file_is_package_data(self):
         """Each file under data/ matches a [tool.setuptools.package-data] pattern,
@@ -238,7 +294,8 @@ class TestModelLoading:
         line = next(line for line in section if line.startswith("bitextverify ="))
         patterns = json.loads(line.partition("=")[2])
         files = [f"data/{path.name}" for path in PACKAGE_DATA.iterdir()]
-        assert {f"data/{lang}.{ext}" for lang, *_ in BUNDLED for ext in ("ppm", "txt")} <= set(files)
+        expected = {f"data/{lang}.{ext}" for lang, *_ in BUNDLED for ext in ("ppm", "table", "txt")}
+        assert expected <= set(files)
         assert [f for f in files if not any(fnmatchcase(f, p) for p in patterns)] == []
 
     def test_model_file_on_one_side_bundled_on_the_other(self, tmp_path):
@@ -1038,6 +1095,33 @@ def test_readme_python_api_example_runs(tmp_path):
     slr, cr, verdict = proc.stdout.split()
     assert float(slr) >= 1 and float(cr) >= 1, proc.stdout
     assert verdict in ("Satisfactory", "Unsatisfactory"), proc.stdout
+
+
+def test_readme_table_regeneration_pins_what_it_writes(tmp_path):
+    """The Python block that follows the README's `train` regeneration commands,
+    run on a copy of the package whose tables are gone and whose pins are stale,
+    writes each table from its dump and pins its digest, so the copy's defaults
+    load the dumps' models."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("python3 - <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    package = tmp_path / "bitextverify"
+    shutil.copytree(PACKAGE_DATA.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    for table in package.glob("data/*.table"):
+        table.unlink()
+    code = (package / "cli.py").read_text(encoding="utf-8")
+    for stale, pinned in zip("0f", cli.TABLE_SHA256.values()):
+        code = code.replace(pinned, stale * 64)
+    (package / "cli.py").write_text(code, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    check = ("from bitextverify import cli\n"
+             "args = cli.build_parser().parse_args(['filter', '--out-dir', 'unused'])\n"
+             "print(*(model.config_hash().hex() for model, _ in cli._load_models(args)))\n")
+    for script in (block, check):
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [digest for *_, digest in BUNDLED]
 
 
 def test_readme_commands_parse():

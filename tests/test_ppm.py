@@ -624,6 +624,29 @@ def test_training_a_loaded_model_leaves_shared_entries_alone(order, alphabet, te
     assert loaded.dumps() == bare.dumps() == source.dumps()
 
 
+def test_a_table_loads_as_loads_left_the_model(tmp_path):
+    """load_table of table_bytes() gives the same table, hash and shared entries
+    as loads; training copies the table first, so a snapshot and the contexts
+    that shared an entry stay as they were."""
+    source = PpmModel(3, 256)
+    source.train_many([b"abracadabra", b"cadabra abra", b"abracadabra"])
+    loaded = PpmModel.loads(source.dumps())
+    path = tmp_path / "m.table"
+    path.write_bytes(loaded.table_bytes())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    tabled = PpmModel.load_table(path, digest)
+    assert tabled == loaded and tabled.dumps() == source.dumps()
+    assert tabled.config_hash() == source.config_hash()
+    shared = len({id(entry) for entry in loaded._table.values()})
+    assert len({id(entry) for entry in tabled._table.values()}) == shared < len(loaded)
+    bare = PpmModel.load_table(path, digest)
+    snap = tabled.snapshot()
+    for model in (tabled, bare, source):
+        model.train(b"abra cadabra")
+    assert snap.dumps() != tabled.dumps() == bare.dumps() == source.dumps()
+    assert snap == loaded
+
+
 def _layout(table):
     """Contexts in table order, each with its total and its counts in order."""
     return [(ctx, total, list(counts.items())) for ctx, (total, counts) in table.items()]
