@@ -78,8 +78,8 @@ def parse_grid(spec: str) -> list[float]:
 
 # the bundled files sit next to this module: the package installs as a directory
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-# SHA-256 of data/<language>.table, PpmModel.table_bytes() of the shipped dump
-# data/<language>.ppm; a test checks each table against its dump
+# SHA-256 of data/<language>.table, PpmModel.table_bytes() of the model `train`
+# primes on data/<language>.txt; a test checks each table against a fresh priming
 TABLE_SHA256 = {
     "arabic": "97f2e83ca4e5f1e2531fef536d5c9cf21820f8a04c18138258db3d8aadd6e628",
     "english": "4739e4886d1ce5b1b9bebf3c68fcf7802657ff7edea59cfd475d5dcdd71fb138",

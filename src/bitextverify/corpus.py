@@ -88,7 +88,8 @@ def read_lines(path, limit: int | None = None) -> Iterator[str]:
 
 def load_tsv(path) -> list[SentencePair]:
     r"""TSV columns: id, arabic, english, then optional label and category. No
-    field may end in "\r", and no line may exceed MAX_LINE_BYTES."""
+    field may end in "\r", no id may begin with U+FEFF, and no line may exceed
+    MAX_LINE_BYTES."""
     pairs: list[SentencePair] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(read_lines(path, MAX_LINE_BYTES), 1):
@@ -102,6 +103,8 @@ def load_tsv(path) -> list[SentencePair]:
         if "\r\t" in line or line.endswith("\r"):  # lost if last in an output row
             raise CorpusFormatError(f"{path}:{lineno}: a field ends in a carriage return")
         pair_id = cols[0]
+        if pair_id.startswith("\ufeff"):  # dropped as a byte-order mark if first in an output
+            raise CorpusFormatError(f"{path}:{lineno}: pair id {pair_id!r} begins with U+FEFF")
         if pair_id in seen_ids:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate pair id {pair_id!r}")
         seen_ids.add(pair_id)

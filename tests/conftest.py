@@ -158,7 +158,7 @@ def _ref_numeric_to_arabic(data: bytes) -> str:
 @pytest.fixture(scope="session")
 def bundled_models():
     """Snapshots of the default desk-corpus models, loaded once per session by
-    the CLI's own loader from the filter command's default arguments (the shipped dumps)."""
+    the CLI's own loader from the filter command's default arguments (the shipped tables)."""
     from bitextverify import cli
 
     args = cli.build_parser().parse_args(["filter", "--out-dir", "unused"])

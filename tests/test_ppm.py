@@ -592,8 +592,8 @@ class TestSharedEntries:
         assert loaded._hash == loaded.config_hash() == model.config_hash() == _sha8(data)
 
     @pytest.mark.parametrize("language, runs", [("arabic", 923), ("english", 1145)])
-    def test_bundled_models_share_their_entries(self, language, runs):
-        model = PpmModel.load(f"{DATA_DIR}/{language}.ppm")
+    def test_bundled_models_share_their_entries(self, bundled_models, language, runs):
+        model = PpmModel.loads(bundled_models[("arabic", "english").index(language)].dumps())
         assert len({id(entry) for entry in model._table.values()}) <= runs
 
 
@@ -748,14 +748,14 @@ def test_train_many_with_a_bad_text_leaves_the_model_as_it_was(kind, bad_at):
     assert snap is None or snap.dumps() == data
 
 
-def test_bundled_priming_shares_its_once_seen_entries():
+def test_bundled_priming_shares_its_once_seen_entries(bundled_models):
     """A model trained on the bundled Arabic priming text keeps one list per
     context seen more than once: 6,188 contexts, 4,269 of them seen once, which
     share at most the 256 entries of _ONCE."""
     model = PpmModel()
     for line in read_lines(f"{DATA_DIR}/arabic.txt"):
         model.train(apply_transform(line, ARABIC_NUMERIC))
-    assert model.dumps() == PpmModel.load(f"{DATA_DIR}/arabic.ppm").dumps()
+    assert model.dumps() == bundled_models[0].dumps()
     assert len(model) == 6188
     assert sum(total == 1 for total, _ in model._table.values()) == 4269
     assert len({id(entry) for entry in model._table.values()}) <= 6188 - 4269 + 256
