@@ -36,10 +36,34 @@ BUNDLED = (
     ("english", IDENTITY, "c17e2503c48e1d54"),
 )
 SCORING = ("score", "evaluate", "sweep", "filter", "stats")
+STALE = "data/*.table no longer match data/*.txt; rebuild them with README.md's block"
 
 
 def _refuse_training(self, texts):
     raise AssertionError("a scoring run must load its models, not prime them")
+
+
+def _run_readme_regeneration(tmp_path, monkeypatch):
+    """Run the `train` lines of README.md's regeneration block, as printed, beside
+    a copy of the package whose tables are gone and whose pins are stale; return
+    the block's heredoc and the env whose PYTHONPATH imports that copy."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(part for part in readme.split("```bash\n")[1:] if "<<'EOF'\n" in part)
+    commands, heredoc = block.split("python3 - <<'EOF'\n")
+    package = tmp_path / "src" / "bitextverify"
+    shutil.copytree(PACKAGE_DATA.parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.table"))
+    code = (package / "cli.py").read_text(encoding="utf-8")
+    for stale, pinned in zip("0f", cli.TABLE_SHA256.values()):
+        code = code.replace(pinned, stale * 64)
+    (package / "cli.py").write_text(code, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for line in commands.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        assert argv[:2] == ["bitextverify", "train"], line
+        assert main(argv[1:]) == 0
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    return heredoc.split("\nEOF\n", 1)[0] + "\n", env
 
 
 @pytest.fixture
@@ -165,6 +189,18 @@ class TestModelLoading:
         for (model, model_id), (language, _, digest) in zip(cli._load_models(args), BUNDLED):
             assert (model_id, model.config_hash().hex()) == (f"bundled:{language}", digest)
 
+    def test_shipped_dumps_equal_a_fresh_priming(self, tmp_path, monkeypatch):
+        """The `train` lines of README.md's regeneration block, run as printed, write
+        the dump of each shipped table's model byte for byte, with the bundled hash."""
+        _run_readme_regeneration(tmp_path, monkeypatch)
+        for language, _, digest in BUNDLED:
+            fresh = (tmp_path / f"{language}.ppm").read_bytes()
+            model = PpmModel.load_table(PACKAGE_DATA / f"{language}.table",
+                                        cli.TABLE_SHA256[language])
+            assert fresh == model.dumps(), STALE
+            assert PpmModel.loads(fresh).config_hash().hex() == digest, STALE
+            assert hashlib.sha256(fresh).hexdigest()[:16] == model.config_hash().hex(), STALE
+
     def test_default_filter_never_primes(self, tmp_path, corpus_tsv, monkeypatch):
         monkeypatch.setattr(PpmModel, "train_many", _refuse_training)
         out = tmp_path / "out"
@@ -243,6 +279,22 @@ class TestModelLoading:
         assert main(["filter", "--pairs", str(corpus_tsv), "--model-a",
                      str(PACKAGE_DATA / "arabic.table"), "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert capsys.readouterr().err == "configuration error: not a PPMV1 model dump\n"
+
+    def test_shipped_tables_equal_their_dumps(self, tmp_path, monkeypatch):
+        """Each table the defaults load, under its pinned digest, is the model loads
+        builds from a fresh README `train` dump: the same dump bytes, hash and entry
+        sharing. The table_bytes() of that load unmarshal to the same table
+        (marshal's reference flags follow refcounts, so the bytes may differ)."""
+        _run_readme_regeneration(tmp_path, monkeypatch)
+        for (language, _, digest), runs in zip(BUNDLED, (923, 1145)):
+            dump = (tmp_path / f"{language}.ppm").read_bytes()
+            table = PACKAGE_DATA / f"{language}.table"
+            model = PpmModel.load_table(table, cli.TABLE_SHA256[language])
+            assert model.dumps() == dump, STALE
+            assert model.config_hash().hex() == digest
+            assert len({id(entry) for entry in model._table.values()}) == runs
+            fresh = PpmModel.loads(dump).table_bytes()
+            assert marshal.loads(fresh) == marshal.loads(table.read_bytes()), STALE
 
     def test_every_data_file_is_package_data(self):
         """data/ holds each bundled model's text and table, each matches a
@@ -1120,43 +1172,14 @@ def test_readme_python_api_example_runs(tmp_path):
     assert verdict in ("Satisfactory", "Unsatisfactory"), proc.stdout
 
 
-def test_readme_regeneration_rebuilds_what_ships(tmp_path, monkeypatch):
-    """README.md's regeneration block, run as printed beside a copy of the package
-    whose tables are gone and whose pins are stale. Its `train` lines write the dump
-    of each shipped table's model, with the bundled hash and entry sharing, whose
-    table_bytes() unmarshal to the shipped table (marshal's reference flags follow
-    refcounts, so the bytes may differ). Its heredoc then writes both tables and
-    pins their digests, so the copy's defaults load the bundled models."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = next(part for part in readme.split("```bash\n")[1:] if "<<'EOF'\n" in part)
-    commands, heredoc = block.split("python3 - <<'EOF'\n")
-    heredoc = heredoc.split("\nEOF\n", 1)[0] + "\n"
-    package = tmp_path / "src" / "bitextverify"
-    shutil.copytree(PACKAGE_DATA.parent, package,
-                    ignore=shutil.ignore_patterns("__pycache__", "*.table"))
-    code = (package / "cli.py").read_text(encoding="utf-8")
-    for stale, pinned in zip("0f", cli.TABLE_SHA256.values()):
-        code = code.replace(pinned, stale * 64)
-    (package / "cli.py").write_text(code, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    for line in commands.replace("\\\n", " ").splitlines():
-        argv = shlex.split(line)
-        assert argv[:2] == ["bitextverify", "train"], line
-        assert main(argv[1:]) == 0
-    stale = "data/*.table no longer match data/*.txt; rebuild them with README.md's block"
-    for (language, _, digest), runs in zip(BUNDLED, (923, 1145)):
-        fresh = (tmp_path / f"{language}.ppm").read_bytes()
-        table = PACKAGE_DATA / f"{language}.table"
-        model = PpmModel.load_table(table, cli.TABLE_SHA256[language])
-        assert fresh == model.dumps(), stale
-        assert hashlib.sha256(fresh).hexdigest()[:16] == model.config_hash().hex() == digest
-        assert len({id(entry) for entry in model._table.values()}) == runs
-        fresh_table = PpmModel.loads(fresh).table_bytes()
-        assert marshal.loads(fresh_table) == marshal.loads(table.read_bytes())
+def test_readme_table_regeneration_pins_what_it_writes(tmp_path, monkeypatch):
+    """README.md's regeneration block, run as printed on a copy of the package whose
+    tables are gone and whose pins are stale: its heredoc writes each table from the
+    fresh dump and pins its digest, so the copy's defaults load the bundled models."""
+    heredoc, env = _run_readme_regeneration(tmp_path, monkeypatch)
     check = ("from bitextverify import cli\n"
              "args = cli.build_parser().parse_args(['filter', '--out-dir', 'unused'])\n"
              "print(*(model.config_hash().hex() for model, _ in cli._load_models(args)))\n")
-    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
     for argv, stdin in ((["-"], heredoc), (["-c", check], None)):
         proc = subprocess.run([sys.executable, *argv], input=stdin, cwd=tmp_path, env=env,
                               capture_output=True, text=True, encoding="utf-8", timeout=120)
